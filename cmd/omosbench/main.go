@@ -71,7 +71,7 @@ func main() {
 		{"resolution", "stable resolution cache: symbol search vs binding replay vs invalidation", bench.Resolution},
 		{"upgrade", "live upgrade: warm instantiation stream while flipping 6 libraries", bench.Upgrade},
 		{"soak", "overload soak: shed rate and latency at 1x/4x/16x saturation (wall clock)", bench.Soak},
-		{"ipcmux", "tagged pipelining: ops/sec on one connection, serial v1 vs pipelined v2", bench.IPCMux},
+		{"ipcmux", "tagged pipelining: ops/sec on one connection, one call in flight vs pipelined", bench.IPCMux},
 		{"mesh", "federated mesh: 4-daemon fleet vs 4 independent daemons, bytes built and warm ops/sec", bench.Mesh},
 	}
 	if *list {

@@ -14,34 +14,27 @@ import (
 
 // IPCMux measures what tagged pipelining buys on one shared
 // connection: N goroutines hammer warm OpRun calls through a single
-// client, once with the transport pinned to the serial v1 protocol
-// (every call holds the connection for its full round trip) and once
-// with v2 tagged frames (calls interleave; completions return out of
+// client, once with the bench holding a mutex around each Call (one
+// call in flight: every call holds the connection for its full round
+// trip) and once without (calls interleave; completions return out of
 // order).  Rows report wall-clock ops/sec — pipelining is a queueing
-// phenomenon, invisible to simulated cycles, like the soak table.
-//
-// Two closing rows tie the transport change to the rest of the
-// robustness story: a 16x overload soak (same gated daemon as the
-// soak table) showing tail latency with head-of-line blocking gone,
-// and the framing hot path's measured allocations per round trip
-// (pinned to zero by TestFramedHotPathAllocFree).
+// phenomenon, invisible to simulated cycles, like the soak table.  A
+// closing row reports the framing hot path's measured allocations per
+// round trip (pinned to zero by TestFramedHotPathAllocFree).
 func IPCMux(cfg Config) (*Table, error) {
 	perG := 20
-	soakPer := 8
 	if cfg.ItersHPUX >= 1000 {
 		perG = 80
-		soakPer = 16
 	}
 	t := &Table{
 		ID:    "ipcmux",
-		Title: "tagged pipelining: warm ops/sec on one shared connection, serial v1 vs pipelined v2",
+		Title: "tagged pipelining: warm ops/sec on one shared connection, one call in flight vs pipelined",
 		Iters: perG,
 		Notes: []string{
 			"wall-clock ops/sec, not simulated cycles (pipelining is queueing, which cycles cannot see)",
-			"all goroutines share ONE client and ONE connection; serial rows pin the legacy v1 protocol (ForceV1)",
+			"all goroutines share ONE client and ONE connection; one-in-flight rows hold a mutex around each Call",
 			"ops are warm /bin/t runs: image cache hot, so the measurement is transport + dispatch, not builds",
-			"soak row repeats the overload table's 16x row over the pipelined transport (same 2+2 admission gate)",
-			"allocs/op probes the v2 framing hot path; the test suite pins it at exactly zero",
+			"allocs/op probes the framing hot path; the test suite pins it at exactly zero",
 		},
 	}
 	for _, g := range []int{8, 64} {
@@ -55,29 +48,23 @@ func IPCMux(cfg Config) (*Table, error) {
 		}
 		if s := serial.Extra["ops-per-sec"]; s > 0 {
 			// Stored as a percentage so the table's integer metric
-			// formatting keeps the precision (122 = 1.22x serial).
-			pipelined.Extra["speedup-vs-serial-pct"] = 100 * pipelined.Extra["ops-per-sec"] / s
+			// formatting keeps the precision (122 = 1.22x one in flight).
+			pipelined.Extra["speedup-vs-one-in-flight-pct"] = 100 * pipelined.Extra["ops-per-sec"] / s
 		}
 		t.Rows = append(t.Rows, serial, pipelined)
 	}
 
-	soak, err := soakRow(16, soakPer)
-	if err != nil {
-		return nil, err
-	}
-	soak.Label = "16x soak, pipelined"
-	t.Rows = append(t.Rows, soak)
-
 	t.Rows = append(t.Rows, Row{
-		Label: "v2 framing hot path",
+		Label: "framing hot path",
 		Extra: map[string]float64{"allocs-per-op": ipc.AllocsPerFrameOp(2000)},
 	})
 	return t, nil
 }
 
 // muxThroughputRow serves a fresh daemon, warms the /bin/t image, and
-// drives goroutines*perG warm runs through one shared client.
-func muxThroughputRow(goroutines, perG int, forceV1 bool) (Row, error) {
+// drives goroutines*perG warm runs through one shared client; serial
+// allows only one call in flight at a time.
+func muxThroughputRow(goroutines, perG int, serial bool) (Row, error) {
 	sys, err := omos.NewSystem()
 	if err != nil {
 		return Row{}, err
@@ -103,7 +90,6 @@ func muxThroughputRow(goroutines, perG int, forceV1 bool) (Row, error) {
 	c, err := ipc.DialWith(l.Addr().String(), ipc.Options{
 		ConnectTimeout: 5 * time.Second,
 		CallTimeout:    30 * time.Second,
-		ForceV1:        forceV1,
 	})
 	if err != nil {
 		return Row{}, err
@@ -122,14 +108,22 @@ func muxThroughputRow(goroutines, perG int, forceV1 bool) (Row, error) {
 		mu       sync.Mutex
 		firstErr error
 		badExit  int
+		inFlight sync.Mutex // held around each Call when serial
 	)
+	call := func() (*ipc.Response, error) {
+		if serial {
+			inFlight.Lock()
+			defer inFlight.Unlock()
+		}
+		return c.Call(&ipc.Request{Op: ipc.OpRun, Path: "/bin/t"})
+	}
 	start := time.Now()
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				resp, err := c.Call(&ipc.Request{Op: ipc.OpRun, Path: "/bin/t"})
+				resp, err := call()
 				if err != nil || resp.ExitCode != 42 {
 					mu.Lock()
 					if err != nil && firstErr == nil {
@@ -150,12 +144,12 @@ func muxThroughputRow(goroutines, perG int, forceV1 bool) (Row, error) {
 		return Row{}, fmt.Errorf("bench: ipcmux %d goroutines: %w", goroutines, firstErr)
 	}
 	if badExit > 0 {
-		return Row{}, errors.New("bench: ipcmux: wrong exit codes under pipelined load")
+		return Row{}, errors.New("bench: ipcmux: wrong exit codes under concurrent load")
 	}
 
 	mode := "pipelined"
-	if forceV1 {
-		mode = "serial"
+	if serial {
+		mode = "one in flight"
 	}
 	ops := goroutines * perG
 	return Row{
@@ -163,7 +157,6 @@ func muxThroughputRow(goroutines, perG int, forceV1 bool) (Row, error) {
 		Extra: map[string]float64{
 			"ops":         float64(ops),
 			"ops-per-sec": float64(ops) / elapsed.Seconds(),
-			"proto":       float64(c.ProtocolVersion()),
 		},
 	}, nil
 }

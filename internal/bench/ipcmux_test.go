@@ -3,9 +3,8 @@ package bench
 import "testing"
 
 // TestIPCMuxShape asserts the acceptance shape of the pipelining
-// table: with 8 goroutines sharing one connection, the pipelined v2
-// transport must beat the serial v1 transport on warm ops/sec, and
-// the framing hot path must not allocate.
+// table: with 8 goroutines sharing one connection, pipelined calls
+// must beat one call in flight on warm ops/sec.
 func TestIPCMuxShape(t *testing.T) {
 	serial, err := muxThroughputRow(8, 15, true)
 	if err != nil {
@@ -17,10 +16,7 @@ func TestIPCMuxShape(t *testing.T) {
 	}
 	s, p := serial.Extra["ops-per-sec"], pipelined.Extra["ops-per-sec"]
 	if p <= s {
-		t.Fatalf("pipelined %.0f ops/sec did not beat serial %.0f ops/sec at 8 goroutines", p, s)
+		t.Fatalf("pipelined %.0f ops/sec did not beat one-in-flight %.0f ops/sec at 8 goroutines", p, s)
 	}
-	t.Logf("8 goroutines: serial %.0f ops/sec, pipelined %.0f ops/sec (%.2fx)", s, p, p/s)
-	if serial.Extra["proto"] != 1 || pipelined.Extra["proto"] != 2 {
-		t.Fatalf("protocol versions: serial=%v pipelined=%v", serial.Extra["proto"], pipelined.Extra["proto"])
-	}
+	t.Logf("8 goroutines: one in flight %.0f ops/sec, pipelined %.0f ops/sec (%.2fx)", s, p, p/s)
 }

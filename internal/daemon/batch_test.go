@@ -3,7 +3,6 @@ package daemon
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +48,7 @@ func defineBatchWorkload(t *testing.T, c *ipc.Client) {
 }
 
 // TestDaemonBatchInstantiate drives OpInstantiateBatch end to end over
-// a v2 connection: per-item results come back positionally, a bogus
+// the wire: per-item results come back positionally, a bogus
 // name fails only its own item, and a subsequent run hits the warmed
 // image cache.
 func TestDaemonBatchInstantiate(t *testing.T) {
@@ -59,9 +58,6 @@ func TestDaemonBatchInstantiate(t *testing.T) {
 	})
 	defineBatchWorkload(t, c)
 
-	if v := c.ProtocolVersion(); v != ipc.ProtoV2 {
-		t.Fatalf("protocol = %d, want v2", v)
-	}
 	res, err := c.InstantiateBatch([]string{"/bin/t", "/lib/l", "/bogus/none"})
 	if err != nil {
 		t.Fatal(err)
@@ -89,32 +85,6 @@ func TestDaemonBatchInstantiate(t *testing.T) {
 	}
 	if after := sys.Srv.Stats().ImagesBuilt; after != built {
 		t.Fatalf("run after batch rebuilt images: %d -> %d (cache not warmed)", built, after)
-	}
-}
-
-// TestDaemonBatchAggregatedV1 proves the same op works against a
-// legacy connection: one aggregated reply instead of streamed
-// per-item completions.
-func TestDaemonBatchAggregatedV1(t *testing.T) {
-	c, _ := startBatchDaemon(t, ipc.Options{
-		ConnectTimeout: 2 * time.Second,
-		CallTimeout:    30 * time.Second,
-		ForceV1:        true,
-	})
-	defineBatchWorkload(t, c)
-
-	res, err := c.InstantiateBatch([]string{"/bin/t", "/missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := c.ProtocolVersion(); v != ipc.ProtoV1 {
-		t.Fatalf("protocol = %d, want v1", v)
-	}
-	if res[0].Err != nil {
-		t.Fatalf("item 0: %v", res[0].Err)
-	}
-	if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "missing") {
-		t.Fatalf("item 1 error = %v, want a not-found error", res[1].Err)
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"runtime"
 )
 
-// AllocsPerFrameOp measures heap allocations per v2 framed round trip
+// AllocsPerFrameOp measures heap allocations per framed round trip
 // (encode into the reused send buffer, seal, decode via readTagged
 // into reused scratch) over iters iterations.  It is the bench-table
 // counterpart of TestFramedHotPathAllocFree: the table records the

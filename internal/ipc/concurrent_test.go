@@ -7,10 +7,8 @@ import (
 )
 
 // TestConcurrentClientCalls hammers a single Client from many
-// goroutines.  The protocol is strict request/response on one
-// connection, so without the Call mutex concurrent writers would
-// interleave frames and readers would steal each other's responses;
-// with it, every caller must get the response to its own request.
+// goroutines sharing one connection: frames must never interleave and
+// every caller must get the response to its own request.
 func TestConcurrentClientCalls(t *testing.T) {
 	c, _ := startServer(t)
 

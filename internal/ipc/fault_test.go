@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -16,38 +17,65 @@ import (
 // *FrameError with the right reason; a clean close stays io.EOF.
 func TestFaultFrameErrorTyped(t *testing.T) {
 	var fe *FrameError
+	read := func(b []byte) error {
+		var out Request
+		_, err := newFrameReader(bytes.NewReader(b)).next(&out)
+		return err
+	}
 
 	// Oversized length prefix.
-	var out Request
-	err := ReadFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF}), &out)
+	err := read(bytes.Repeat([]byte{0xFF}, hdrSize))
 	if !errors.As(err, &fe) || fe.Reason != "oversized" {
 		t.Fatalf("oversized: err = %v", err)
 	}
 
 	// Truncated payload.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpPing}); err != nil {
+	full, err := newFrameWriter().frame(1, &Request{Op: OpPing})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	err = ReadFrame(bytes.NewReader(full[:len(full)-2]), &out)
+	err = read(full[:len(full)-2])
 	if !errors.As(err, &fe) || fe.Reason != "truncated" {
 		t.Fatalf("truncated payload: err = %v", err)
 	}
 
 	// Truncated header.
-	err = ReadFrame(bytes.NewReader(full[:2]), &out)
+	err = read(full[:hdrSize-2])
 	if !errors.As(err, &fe) || fe.Reason != "truncated" {
 		t.Fatalf("truncated header: err = %v", err)
 	}
 
-	// Malformed payload (length prefix fine, garbage gob).
-	garbage := make([]byte, 4+8)
+	// Malformed payload (header fine, garbage gob).
+	garbage := make([]byte, hdrSize+8)
 	binary.BigEndian.PutUint32(garbage, 8)
-	copy(garbage[4:], "notagob!")
-	err = ReadFrame(bytes.NewReader(garbage), &out)
+	copy(garbage[hdrSize:], "notagob!")
+	err = read(garbage)
 	if !errors.As(err, &fe) || fe.Reason != "malformed" {
 		t.Fatalf("malformed: err = %v", err)
+	}
+
+	// Clean close between frames.
+	if err := read(nil); err != io.EOF {
+		t.Fatalf("clean close: err = %v, want io.EOF", err)
+	}
+
+	// Tag mismatch: a completion for a tag the client never issued.
+	srvEnd, cliEnd := net.Pipe()
+	defer srvEnd.Close()
+	c := NewClient(cliEnd)
+	defer c.Close()
+	go func() {
+		var req Request
+		if _, err := newFrameReader(srvEnd).next(&req); err != nil {
+			return
+		}
+		if frame, err := newFrameWriter().frame(99, &Response{Final: true}); err == nil {
+			srvEnd.Write(frame)
+		}
+	}()
+	_, err = c.Call(&Request{Op: OpPing})
+	if !errors.As(err, &fe) || fe.Reason != "tag-mismatch" {
+		t.Fatalf("tag mismatch: err = %v", err)
 	}
 }
 
@@ -67,7 +95,7 @@ func TestFaultBadFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xDE, 0xAD, 0xBE, 0xEF})
+	raw.Write(append(bytes.Repeat([]byte{0xFF}, hdrSize), 0xDE, 0xAD, 0xBE, 0xEF))
 	// The server must hang up on us.
 	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := raw.Read(make([]byte, 1)); err == nil {
@@ -75,13 +103,14 @@ func TestFaultBadFrame(t *testing.T) {
 	}
 	raw.Close()
 
-	// Second garbage flavor: plausible length, unparseable payload.
+	// Second garbage flavor: plausible header, unparseable payload.
 	raw2, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 16)
+	var hdr [hdrSize]byte
+	binary.BigEndian.PutUint32(hdr[0:4], 16)
+	binary.BigEndian.PutUint64(hdr[4:12], 1)
 	raw2.Write(hdr[:])
 	raw2.Write(bytes.Repeat([]byte{0x5A}, 16))
 	raw2.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -119,7 +148,7 @@ func TestFaultCallDeadline(t *testing.T) {
 			// Swallow the request, never answer.
 			go func(c net.Conn) {
 				var req Request
-				ReadFrame(c, &req)
+				newFrameReader(c).next(&req)
 				// hold the connection open, silent
 			}(conn)
 		}

@@ -1,45 +1,34 @@
 package ipc
 
-// Protocol v2 framing: tagged frames for multiplexed, pipelined
-// connections.
+// Tagged framing: the one wire format of the protocol.
 //
-// A v2 frame is a 12-byte header — 4-byte big-endian payload length,
+// A frame is a 12-byte header — 4-byte big-endian payload length,
 // 8-byte big-endian tag — followed by the gob payload.  The tag is
 // assigned by the client (monotonically increasing per connection) and
 // echoed by the server on the completion, so one connection carries
 // any number of in-flight calls and responses return in whatever order
 // the server finishes them.
 //
-// Unlike v1 frames (WriteFrame/ReadFrame, which spin up a fresh gob
-// codec per frame and so resend type descriptors every time), a v2
-// connection runs one persistent gob encoder and one persistent
+// A connection runs one persistent gob encoder and one persistent
 // decoder per direction: type descriptors cross the wire once at
 // stream start, and every later frame is just the value bytes.  The
 // framing itself is allocation-free in steady state — the send buffer
 // is reused with a 12-byte header hole reserved at the front (one
 // conn.Write per frame, no copy), the receive buffer is reused and
 // grown to the high-water mark, and header scratch lives in the
-// caller's frame — pinned by TestFramedHotPathAllocFree.
+// reader — pinned by TestFramedHotPathAllocFree.
 
 import (
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"io"
-	"sync"
 )
 
-// Protocol versions.  Version 1 is the original single-shot
-// request/response protocol (one outstanding exchange per connection);
-// version 2 multiplexes tagged frames.  Peers negotiate at connect via
-// OpHello; either side speaking only v1 keeps working.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
-
-// hdrSize is the v2 frame header: 4-byte payload length + 8-byte tag.
+// hdrSize is the frame header: 4-byte payload length + 8-byte tag.
 const hdrSize = 12
 
-// sendBuf assembles one outgoing v2 frame: the gob encoder appends
+// sendBuf assembles one outgoing frame: the gob encoder appends
 // payload bytes after a reserved header hole, seal stamps the header
 // in place, and the whole frame goes out in a single Write.  The
 // backing array is reused across frames (capacity is retained).
@@ -76,10 +65,40 @@ func (s *sendBuf) seal(tag uint64) {
 // without desynchronizing the gob payload stream).
 func (s *sendBuf) tagBytes() []byte { return s.b[4:12] }
 
-// readTagged reads one v2 frame: header into hdr, payload into *buf
+// frameWriter encodes one direction of a connection: a persistent gob
+// encoder into the reused send buffer.  Not safe for concurrent use;
+// callers serialize frames under their send lock.
+type frameWriter struct {
+	sbuf sendBuf
+	enc  *gob.Encoder
+}
+
+func newFrameWriter() *frameWriter {
+	w := &frameWriter{}
+	w.enc = gob.NewEncoder(&w.sbuf)
+	return w
+}
+
+// frame encodes v as one sealed frame carrying tag.  The returned
+// slice aliases the send buffer — valid until the next call.  An error
+// leaves the encoder's stream state unknown: the connection must die.
+func (w *frameWriter) frame(tag uint64, v interface{}) ([]byte, error) {
+	w.sbuf.reset()
+	if err := w.enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("ipc: encode: %w", err)
+	}
+	if w.sbuf.payloadLen() > maxFrame {
+		return nil, fmt.Errorf("ipc: frame too large (%d bytes)", w.sbuf.payloadLen())
+	}
+	w.sbuf.seal(tag)
+	return w.sbuf.b, nil
+}
+
+// readTagged reads one frame: header into hdr, payload into *buf
 // (reused and grown as needed; the returned slice aliases it — valid
-// only until the next call).  Frame damage surfaces as *FrameError
-// exactly like ReadFrame; a clean close between frames is io.EOF.
+// only until the next call).  A claimed length beyond maxFrame is
+// refused before anything is allocated for it.  Frame damage surfaces
+// as *FrameError; a clean close between frames is io.EOF.
 func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -109,8 +128,6 @@ func readTagged(r io.Reader, hdr *[hdrSize]byte, buf *[]byte) (tag uint64, paylo
 // the stream aligned frame by frame.
 type payloadFeeder struct{ b []byte }
 
-func (f *payloadFeeder) set(b []byte) { f.b = b }
-
 func (f *payloadFeeder) Read(p []byte) (int, error) {
 	if len(f.b) == 0 {
 		return 0, io.EOF
@@ -120,8 +137,34 @@ func (f *payloadFeeder) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// v1BufPool recycles the payload buffers WriteFrame assembles v1
-// frames in, so the legacy single-shot path stops allocating a fresh
-// buffer per frame (the gob codec itself is still per-frame on v1 —
-// that protocol's frames must stay self-contained).
-var v1BufPool = sync.Pool{New: func() interface{} { return &frameBuffer{} }}
+// frameReader decodes one direction of a connection: tagged frames
+// off r, each payload fed through the persistent gob decoder.  Header
+// scratch and the payload buffer are reused across frames.
+type frameReader struct {
+	r      io.Reader
+	hdr    [hdrSize]byte
+	buf    []byte
+	feeder payloadFeeder
+	dec    *gob.Decoder
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	f := &frameReader{r: r}
+	f.dec = gob.NewDecoder(&f.feeder)
+	return f
+}
+
+// next reads one frame and decodes its payload into v.  A payload the
+// decoder rejects is a "malformed" *FrameError; after any error the
+// stream is unusable.
+func (f *frameReader) next(v interface{}) (tag uint64, err error) {
+	tag, payload, err := readTagged(f.r, &f.hdr, &f.buf)
+	if err != nil {
+		return tag, err
+	}
+	f.feeder.b = payload
+	if err := f.dec.Decode(v); err != nil {
+		return tag, &FrameError{Reason: "malformed", Size: uint32(len(payload)), Err: err}
+	}
+	return tag, nil
+}

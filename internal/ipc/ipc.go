@@ -4,19 +4,13 @@
 // outlives program invocations, and clients reach it over a message
 // channel.
 //
-// The protocol is length-prefixed gob over any net.Conn.  Operations
-// cover namespace management (define, put-object, list, remove) and
-// program execution inside the daemon's simulated machine.
-//
-// Two protocol versions share the port.  Version 1 is strictly
-// single-shot: one request, one response, one outstanding exchange per
-// connection.  Version 2 (negotiated at connect via OpHello; see
-// frame.go) tags every frame with a client-assigned request ID so one
-// connection carries any number of in-flight calls, completions return
-// out of order, and OpInstantiateBatch streams per-item results.
-// Either peer speaking only v1 keeps working: a v2 client falls back
-// when the hello is refused, and a v2 server answers unupgraded
-// connections in v1 framing.
+// The protocol is tagged, length-prefixed gob over any net.Conn (see
+// frame.go).  Operations cover namespace management (define,
+// put-object, list, remove) and program execution inside the daemon's
+// simulated machine.  Every frame carries a client-assigned request
+// tag, so one connection carries any number of in-flight calls,
+// completions return out of order, and OpInstantiateBatch and
+// OpMeshFetch stream their results as several frames under one tag.
 //
 // Failure model: frame-level damage (truncated, oversized, or
 // malformed frames) surfaces as *FrameError and costs only the one
@@ -31,8 +25,6 @@ import (
 	"crypto/hmac"
 	crand "crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -75,28 +67,20 @@ const (
 	OpUpgrade       Op = "upgrade"
 	OpUpgradeStatus Op = "upgrade-status"
 	OpRollback      Op = "rollback"
-	// OpHello negotiates the protocol version: Text carries the
-	// client's requested version ("2"); a capable server acknowledges
-	// with Flag set and the connection switches to tagged v2 framing.
-	// A v1-only server answers "unknown operation" and the client
-	// falls back.  Always sent in v1 framing.
-	//
-	// Mesh peer auth is a challenge-response inside the hello: a
-	// client configured with the mesh secret puts a fresh nonce in
-	// Unit; a server that also has the secret answers the ack with a
-	// challenge nonce in Output, the client sends one more v1-framed
-	// OpHello whose Blob is meshProof(secret, server nonce, client
-	// nonce, version), and the server verifies it (hmac.Equal) before
-	// the final ack.  A wrong proof still upgrades the protocol —
-	// only the mesh operations are gated on the authenticated mark.
-	// A secretless server ignores Unit (no challenge, no extra round
-	// trip) and a secretless client sends no nonce.
+	// OpHello is mesh peer authentication, a challenge-response sent
+	// only by a client configured with the mesh secret, as its first
+	// frames: a hello whose Unit is a fresh client nonce asks for a
+	// challenge, which a secretful server answers in Output; a second
+	// hello carries Blob = meshProof(secret, challenge, client nonce),
+	// which the server verifies (hmac.Equal) before reading the next
+	// frame.  A wrong proof still gets an ack — only the mesh
+	// operations are gated on the authenticated mark — and a
+	// secretless server answers the first hello with no challenge.
 	OpHello Op = "hello"
 	// OpInstantiateBatch instantiates a vector of meta-objects (Args)
 	// in one request: the server fans the items into its build
-	// executor and, on v2 connections, streams each completion back as
-	// its own tagged response (Index set) before a Final summary.  On
-	// v1 connections the reply is a single aggregated response.
+	// executor and streams each completion back as its own tagged
+	// response (Index set) before a Final summary.
 	OpInstantiateBatch Op = "instantiate-batch"
 	// Mesh operations federate daemons into a consistent-hash sharded
 	// image store (internal/mesh).  All carry Request.Mesh and answer
@@ -105,10 +89,9 @@ const (
 	// the HMAC proof on OpHello.  OpMeshFetch asks a content key's ring
 	// owner for its image — metadata only when the requester holds a
 	// local variant to rebase, otherwise the encoded record blob,
-	// streamed in chunks over v2 framing.  OpMeshPut hands the owner a
-	// record built elsewhere; OpMeshGossip exchanges anti-entropy
-	// digests; OpMeshRebalance announces ring membership for
-	// join/leave.  All four are idempotent (content-addressed records
+	// streamed in chunks.  OpMeshPut hands the owner a record built
+	// elsewhere; OpMeshGossip exchanges anti-entropy digests;
+	// OpMeshRebalance announces ring membership for join/leave.  All four are idempotent (content-addressed records
 	// make replay harmless).
 	OpMeshFetch     Op = "mesh-fetch"
 	OpMeshPut       Op = "mesh-put"
@@ -116,26 +99,19 @@ const (
 	OpMeshRebalance Op = "mesh-rebalance"
 )
 
-// protoVersionText is the version string OpHello carries ("2"): the
-// highest protocol this package speaks.
-const protoVersionText = "2"
-
 // meshProof computes the shared-secret proof of the mesh handshake:
-// HMAC-SHA256(secret, server nonce || "|" || client nonce || "|" ||
-// version).  The server nonce is a fresh challenge the server issues
-// in its hello ack, so a captured proof is useless on any other
-// connection (true challenge-response, not a client-chosen nonce);
-// the client nonce binds the proof to the hello that asked for the
-// challenge, and the version keeps a proof from authenticating a
-// downgraded session.  Nonces are fixed-width hex, so the "|"
-// separators make the MAC input injective.
-func meshProof(secret, serverNonce, clientNonce, version string) []byte {
+// HMAC-SHA256(secret, server nonce || "|" || client nonce).  The
+// server nonce is a fresh challenge the server issues per connection,
+// so a captured proof is useless on any other connection (true
+// challenge-response, not a client-chosen nonce); the client nonce
+// binds the proof to the hello that asked for the challenge.  Nonces
+// are fixed-width hex, so the "|" separator makes the MAC input
+// injective.
+func meshProof(secret, serverNonce, clientNonce string) []byte {
 	mac := hmac.New(sha256.New, []byte(secret))
 	io.WriteString(mac, serverNonce)
 	io.WriteString(mac, "|")
 	io.WriteString(mac, clientNonce)
-	io.WriteString(mac, "|")
-	io.WriteString(mac, version)
 	return mac.Sum(nil)
 }
 
@@ -178,11 +154,9 @@ type Request struct {
 	// AllowRebind makes a namespace mutation (define/define-lib/remove)
 	// explicit about re-binding: without it the daemon rejects any
 	// mutation that would silently re-bind a live program's symbol to a
-	// different definer (see ErrRebindBlocked).  (gob tolerates the
-	// field's absence, so old peers interoperate.)
+	// different definer (see ErrRebindBlocked).
 	AllowRebind bool
-	// Mesh carries the payload of the mesh operations.  (gob tolerates
-	// the field's absence, so old peers interoperate.)
+	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshReq
 }
 
@@ -268,8 +242,7 @@ type HealthInfo struct {
 	ScrubQuarantined uint64
 	// Build-graph counters: nodes fully linked this session, nodes
 	// served from a prior session's checkpoint, checkpoints written and
-	// their total encoded size.  (gob tolerates absent fields, so old
-	// daemons interoperate.)
+	// their total encoded size.
 	NodesBuilt        uint64
 	NodesResumed      uint64
 	NodesCheckpointed uint64
@@ -278,8 +251,7 @@ type HealthInfo struct {
 	// its canary is, and whether a rollback is in progress (a rollback
 	// in progress makes `omos health` exit nonzero).  UpgradeVerdict
 	// carries the health gate's verdict while rolling back, or the last
-	// aborted epoch's verdict when idle.  (gob tolerates absent fields,
-	// so old daemons interoperate.)
+	// aborted epoch's verdict when idle.
 	UpgradeActive      bool
 	UpgradeEpoch       string
 	UpgradeCanaryPct   int
@@ -287,8 +259,7 @@ type HealthInfo struct {
 	UpgradeVerdict     string
 	// Mesh state: ring size and peer liveness, peer-fetch traffic split
 	// by how misses were served (metadata rebase vs streamed blob), and
-	// anti-entropy progress.  All zero on an unmeshed daemon.  (gob
-	// tolerates absent fields, so old daemons interoperate.)
+	// anti-entropy progress.  All zero on an unmeshed daemon.
 	MeshPeers        int
 	MeshPeersUp      int
 	MeshShards       int
@@ -311,27 +282,23 @@ type Response struct {
 	// Clock components (user, sys, server, wait cycles).
 	User, Sys, Server, Wait uint64
 	// RetryAfterMS accompanies an overloaded error: the server's hint,
-	// in milliseconds, of when capacity should free up.  (gob tolerates
-	// the field's absence, so old clients interoperate.)
+	// in milliseconds, of when capacity should free up.
 	RetryAfterMS int64
-	// Index and Final frame streamed batch completions
-	// (OpInstantiateBatch over protocol v2): each item answers with
-	// its Index and Final false, and the batch closes with a Final
-	// summary carrying any batch-level error.  (gob tolerates absent
-	// fields, so v1 peers interoperate.)
+	// Index and Final frame streamed completions: each batch item
+	// (OpInstantiateBatch) or blob chunk (OpMeshFetch) answers with its
+	// Index and Final false, and the request closes with a Final frame
+	// carrying any request-level error.  Every other request answers
+	// with one Final frame.
 	Index int
 	Final bool
 	// Rebind and Pin carry the structured detail of a typed rebind /
 	// pin-violation rejection (Err is rebindMsg / pinViolationMsg).
-	// (gob tolerates absent fields, so old peers interoperate.)
 	Rebind *RebindInfo
 	Pin    *PinInfo
 	// Upgrade carries the structured detail of an aborted live upgrade
-	// (Err is upgradeAbortedMsg).  (gob tolerates absent fields, so old
-	// peers interoperate.)
+	// (Err is upgradeAbortedMsg).
 	Upgrade *UpgradeAbortedInfo
-	// Mesh carries the payload of the mesh operations.  (gob tolerates
-	// absent fields, so old peers interoperate.)
+	// Mesh carries the payload of the mesh operations.
 	Mesh *MeshInfo
 }
 
@@ -483,11 +450,11 @@ func (e *UpgradeAbortedError) Error() string {
 func (e *UpgradeAbortedError) Is(target error) bool { return target == ErrUpgradeAborted }
 
 // FrameError reports a damaged protocol frame: truncated mid-message,
-// an oversized length prefix, or a payload gob cannot decode.  The
-// serve loop treats it as fatal to the one connection it arrived on —
-// never to the accept loop.
+// an oversized length prefix, a payload gob cannot decode, or (client
+// side) a completion for a tag never issued.  It is fatal to the one
+// connection it arrived on — never to the accept loop.
 type FrameError struct {
-	Reason string // "truncated", "oversized", "malformed"
+	Reason string // "truncated", "oversized", "malformed", "tag-mismatch"
 	Size   uint32 // claimed frame size, when meaningful
 	Err    error  // underlying error, when any
 }
@@ -504,76 +471,6 @@ func (e *FrameError) Error() string {
 
 func (e *FrameError) Unwrap() error { return e.Err }
 
-// WriteFrame sends one gob-encoded value with a length prefix (v1
-// framing: a fresh gob codec per frame, so every frame is
-// self-contained).  Payload buffers are pool-recycled.
-func WriteFrame(w io.Writer, v interface{}) error {
-	payload := v1BufPool.Get().(*frameBuffer)
-	payload.b = payload.b[:0]
-	defer v1BufPool.Put(payload)
-	enc := gob.NewEncoder(payload)
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("ipc: encode: %w", err)
-	}
-	var hdr [4]byte
-	if len(payload.b) > maxFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", len(payload.b))
-	}
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload.b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.b)
-	return err
-}
-
-// ReadFrame receives one gob-encoded value.  A cleanly closed peer
-// returns io.EOF; anything else wrong with the frame itself returns a
-// *FrameError.
-func ReadFrame(r io.Reader, v interface{}) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return &FrameError{Reason: "truncated", Err: err}
-		}
-		return err // io.EOF (clean close) or transport error
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return &FrameError{Reason: "oversized", Size: n}
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return &FrameError{Reason: "truncated", Size: n, Err: err}
-	}
-	dec := gob.NewDecoder(&byteReader{b: buf})
-	if err := dec.Decode(v); err != nil {
-		return &FrameError{Reason: "malformed", Size: n, Err: err}
-	}
-	return nil
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b []byte
-	i int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
-}
-
 // Options tunes a Client's robustness behavior.  The zero value means
 // no timeouts and no retries (the pre-hardening behavior, still right
 // for tests that want to observe raw transport failures).
@@ -589,17 +486,12 @@ type Options struct {
 	// Backoff is the delay before the first retry; it doubles per
 	// attempt.  Defaults to 10ms when Retries > 0.
 	Backoff time.Duration
-	// ForceV1 skips protocol negotiation and speaks the legacy v1
-	// single-shot protocol even to servers that could multiplex —
-	// the serial baseline for benchmarks and wire-compat tests.
-	// Affects sessions established after it is set.
-	ForceV1 bool
-	// MeshSecret, when set, makes the v2 hello request a server
-	// challenge and answer it with an HMAC-SHA256 proof of the shared
-	// mesh secret, so the server marks the connection as an
-	// authenticated peer (required for mesh operations against a
-	// secretful daemon).  Affects sessions established after it is
-	// set.
+	// MeshSecret, when set, makes each new session open with the
+	// hello exchange: request a server challenge and answer it with an
+	// HMAC-SHA256 proof of the shared mesh secret, so the server marks
+	// the connection as an authenticated peer (required for mesh
+	// operations against a secretful daemon).  Affects sessions
+	// established after it is set.
 	MeshSecret string
 }
 
@@ -613,15 +505,12 @@ var DefaultOptions = Options{
 }
 
 // Client is a connection to an OMOS daemon.  It is safe for
-// concurrent use.  On a v2 (multiplexed) session many calls share one
-// connection: each is assigned a monotonically increasing tag, writes
-// its frame under a brief send lock, and parks on a per-tag channel
-// while a single reader goroutine demultiplexes completions to
-// waiters — so one connection carries hundreds of in-flight calls and
-// a slow request never blocks the fast ones behind it.  Against a
-// v1-only server (or under Options.ForceV1) calls serialize on the
-// session's exchange lock, exactly as the single-shot protocol
-// requires.
+// concurrent use.  Many calls share one connection: each is assigned
+// a monotonically increasing tag, writes its frame under a brief send
+// lock, and parks on a per-tag channel while a single reader goroutine
+// demultiplexes completions to waiters — so one connection carries
+// hundreds of in-flight calls and a slow request never blocks the
+// fast ones behind it.
 //
 // There is deliberately no big client lock: options are read
 // atomically, the breaker and the jitter rng have their own small
@@ -660,15 +549,15 @@ type Client struct {
 // Dial connects to a daemon with zero Options.
 func Dial(addr string) (*Client, error) { return DialWith(addr, Options{}) }
 
-// DialWith connects to a daemon with explicit robustness tuning.
-// Protocol negotiation happens lazily on the first call, so its
-// failures flow through that call's retry budget.
+// DialWith connects to a daemon with explicit robustness tuning.  With
+// a MeshSecret the hello exchange happens lazily on the first call,
+// so its failures flow through that call's retry budget.
 func DialWith(addr string, opts Options) (*Client, error) {
 	conn, err := dialAddr(addr, opts.ConnectTimeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, sess: newSession(conn, opts.ForceV1, opts.MeshSecret)}
+	c := &Client{addr: addr, sess: newSession(conn, opts.MeshSecret)}
 	c.opts.Store(&opts)
 	return c, nil
 }
@@ -683,13 +572,13 @@ func dialAddr(addr string, timeout time.Duration) (net.Conn, error) {
 // NewClient wraps an existing connection.  No reconnect is possible
 // (the client does not know how the connection was made).
 func NewClient(conn net.Conn) *Client {
-	return &Client{sess: newSession(conn, false, "")}
+	return &Client{sess: newSession(conn, "")}
 }
 
 // SetOptions replaces the client's robustness tuning.  Safe to call
 // concurrently with Call: in-flight calls finish under the options
-// they started with; later calls see the new value.  ForceV1 affects
-// only sessions established afterwards.
+// they started with; later calls see the new value.  MeshSecret
+// affects only sessions established afterwards.
 func (c *Client) SetOptions(opts Options) { c.opts.Store(&opts) }
 
 // options snapshots the current tuning.
@@ -710,19 +599,6 @@ func (c *Client) Close() error {
 		return c.sess.close()
 	}
 	return nil
-}
-
-// ProtocolVersion reports the negotiated protocol of the current
-// session (ProtoV1 or ProtoV2), or 0 before the first call completes
-// the handshake.
-func (c *Client) ProtocolVersion() int {
-	c.connMu.Lock()
-	s := c.sess
-	c.connMu.Unlock()
-	if s == nil {
-		return 0
-	}
-	return s.version()
 }
 
 // session returns the live session, redialing if the previous one
@@ -747,7 +623,7 @@ func (c *Client) session(opts Options) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.sess = newSession(conn, opts.ForceV1, opts.MeshSecret)
+	c.sess = newSession(conn, opts.MeshSecret)
 	return c.sess, nil
 }
 
@@ -780,7 +656,7 @@ func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
 	if idempotent(req.Op) {
 		transportLeft = opts.Retries
 	}
-	// Session establishment (redial + version handshake) happens
+	// Session establishment (redial + mesh hello) happens
 	// before the request is transmitted, so its failures are
 	// retry-safe for every op, from their own budget.  Overload sheds
 	// likewise happen before any server-side work.
@@ -849,15 +725,14 @@ func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
 			return resp, nil
 		}
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// A timed-out v1 exchange poisons its session (the stream
-			// may still carry the late response); a timed-out v2 call
-			// just abandons its tag and the connection lives on.
-			// Either way the deadline is the caller's answer.
+			// A timed-out call just abandons its tag and the
+			// connection lives on; the deadline is the caller's
+			// answer.
 			return nil, err
 		}
 		var pre *preSendError
 		if errors.As(err, &pre) {
-			// The request never hit the wire: dial or handshake
+			// The request never hit the wire: dial or hello
 			// failure, retryable even for non-idempotent ops.
 			if preSendLeft <= 0 {
 				return nil, pre.err
@@ -880,7 +755,7 @@ func (c *Client) CallCtx(ctx context.Context, req *Request) (*Response, error) {
 }
 
 // preSendError marks a failure that happened before the request was
-// transmitted (dial, version handshake): retrying is safe for every
+// transmitted (dial, mesh hello): retrying is safe for every
 // operation.
 type preSendError struct{ err error }
 
@@ -981,26 +856,33 @@ func callDeadline(ctx context.Context, opts Options) time.Time {
 	return deadline
 }
 
-// exchange performs one attempt: get (or redial) a session, complete
-// the version handshake if this is its first use, then run the
-// request over whichever protocol was negotiated.  I/O timeouts map
-// to context.DeadlineExceeded.
-func (c *Client) exchange(ctx context.Context, req *Request, opts Options) (*Response, error) {
+// open gets (or redials) the session for one attempt, completes the
+// mesh hello if this is its first use, and resolves the attempt's
+// deadline.  Its failures happen before the request is transmitted,
+// so they come back as *preSendError.
+func (c *Client) open(ctx context.Context, opts Options) (*session, time.Time, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
 	s, err := c.session(opts)
 	if err != nil {
-		return nil, &preSendError{err: err}
+		return nil, time.Time{}, &preSendError{err: err}
 	}
 	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, &preSendError{err: mapTimeout(err)}
+	if err := s.ensureHello(ctx, deadline); err != nil {
+		return nil, time.Time{}, &preSendError{err: mapTimeout(err)}
 	}
-	if s.version() == ProtoV2 {
-		return s.callV2(ctx, deadline, req)
+	return s, deadline, nil
+}
+
+// exchange performs one attempt of a single-completion call.  I/O
+// timeouts map to context.DeadlineExceeded.
+func (c *Client) exchange(ctx context.Context, req *Request, opts Options) (*Response, error) {
+	s, deadline, err := c.open(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
-	return s.callV1(deadline, req)
+	return s.call(ctx, deadline, req)
 }
 
 // mapTimeout converts net timeout errors into context.DeadlineExceeded

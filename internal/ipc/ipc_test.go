@@ -13,6 +13,13 @@ import (
 )
 
 func TestFrameRoundtrip(t *testing.T) {
+	// One persistent writer and reader across every case, as on a
+	// connection: type descriptors cross once, later frames carry only
+	// values.
+	var wire bytes.Buffer
+	w := newFrameWriter()
+	fr := newFrameReader(&wire)
+	var tag uint64
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		req := Request{
@@ -23,12 +30,15 @@ func TestFrameRoundtrip(t *testing.T) {
 			Blob: make([]byte, r.Intn(64)),
 		}
 		r.Read(req.Blob)
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &req); err != nil {
+		tag++
+		frame, err := w.frame(tag, &req)
+		if err != nil {
 			return false
 		}
+		wire.Write(frame)
 		var out Request
-		if err := ReadFrame(&buf, &out); err != nil {
+		got, err := fr.next(&out)
+		if err != nil || got != tag {
 			return false
 		}
 		if len(out.Args) == 0 {
@@ -51,21 +61,20 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 func TestFrameTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpPing}); err != nil {
+	full, err := newFrameWriter().frame(1, &Request{Op: OpPing})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 	for i := 0; i < len(full); i++ {
 		var out Request
-		if err := ReadFrame(bytes.NewReader(full[:i]), &out); err == nil {
+		if _, err := newFrameReader(bytes.NewReader(full[:i])).next(&out); err == nil {
 			t.Fatalf("prefix %d accepted", i)
 		}
 	}
 	// Oversized frame header rejected.
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	huge := bytes.Repeat([]byte{0xFF}, hdrSize)
 	var out Request
-	if err := ReadFrame(bytes.NewReader(huge), &out); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(huge)).next(&out); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -6,8 +6,8 @@ package ipc
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
+	"sync"
 	"testing"
 )
 
@@ -22,43 +22,57 @@ func (meshFakeBackend) MeshPut(req *MeshReq) error                    { return n
 func (meshFakeBackend) MeshGossip(req *MeshReq) (*MeshInfo, error)    { return &MeshInfo{}, nil }
 func (meshFakeBackend) MeshRebalance(req *MeshReq) (*MeshInfo, error) { return &MeshInfo{}, nil }
 
-// meshCallRaw sends one tagged OpMeshFetch over an upgraded (v2)
-// connection and returns the Final response — the raw-wire equivalent
-// of Client.MeshFetch, for connections whose handshake the test spoke
-// by hand.
-func meshCallRaw(t *testing.T, conn net.Conn, tag uint64) *Response {
+// rawConn speaks tagged frames by hand over one connection — the
+// raw-wire equivalent of a Client, for handshakes the test drives
+// itself.
+type rawConn struct {
+	t    *testing.T
+	conn net.Conn
+	w    *frameWriter
+	fr   *frameReader
+	tag  uint64
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
-	var sb sendBuf
-	enc := gob.NewEncoder(&sb)
-	sb.reset()
-	if err := enc.Encode(&Request{Op: OpMeshFetch, Mesh: &MeshReq{From: "raw", CKey: "k"}}); err != nil {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sb.seal(tag)
-	if _, err := conn.Write(sb.b); err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { conn.Close() })
+	return &rawConn{t: t, conn: conn, w: newFrameWriter(), fr: newFrameReader(conn)}
+}
+
+// call sends req under the next tag and returns its Final response.
+func (r *rawConn) call(req *Request) *Response {
+	r.t.Helper()
+	r.tag++
+	frame, err := r.w.frame(r.tag, req)
+	if err != nil {
+		r.t.Fatal(err)
 	}
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
-	var hdr [hdrSize]byte
-	var buf []byte
+	if _, err := r.conn.Write(frame); err != nil {
+		r.t.Fatal(err)
+	}
 	for {
-		gotTag, payload, err := readTagged(conn, &hdr, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotTag != tag {
-			t.Fatalf("completion for tag %d, sent %d", gotTag, tag)
-		}
-		feeder.set(payload)
 		resp := new(Response)
-		if err := dec.Decode(resp); err != nil {
-			t.Fatal(err)
+		gotTag, err := r.fr.next(resp)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if gotTag != r.tag {
+			r.t.Fatalf("completion for tag %d, sent %d", gotTag, r.tag)
 		}
 		if resp.Final {
 			return resp
 		}
 	}
+}
+
+// meshFetch is one raw OpMeshFetch.
+func (r *rawConn) meshFetch() *Response {
+	r.t.Helper()
+	return r.call(&Request{Op: OpMeshFetch, Mesh: &MeshReq{From: "raw", CKey: "k"}})
 }
 
 // TestMeshHelloReplayRejected pins the challenge-response property: a
@@ -78,14 +92,23 @@ func TestMeshHelloReplayRejected(t *testing.T) {
 	t.Cleanup(func() { l.Close() })
 	addr := l.Addr().String()
 
-	// The real client path still authenticates.
+	// The real client path still authenticates, and concurrent first
+	// calls all wait for the proof: none overtakes it.
 	c, err := DialWith(addr, Options{MeshSecret: secret})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.MeshFetch(context.Background(), &MeshReq{From: "x", CKey: "k"}); err != nil {
-		t.Fatalf("authenticated mesh fetch: %v", err)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := c.MeshFetch(context.Background(), &MeshReq{From: "x", CKey: "k"}); err != nil {
+				t.Errorf("authenticated mesh fetch: %v", err)
+			}
+		}()
 	}
+	wg.Wait()
 	c.Close()
 
 	// Speak the handshake by hand, recording the frames an on-path
@@ -94,61 +117,36 @@ func TestMeshHelloReplayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn1, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn1.Close()
-	hello := &Request{Op: OpHello, Text: protoVersionText, Unit: clientNonce}
-	if err := WriteFrame(conn1, hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack1 Response
-	if err := ReadFrame(conn1, &ack1); err != nil {
-		t.Fatal(err)
-	}
-	if !ack1.Flag || ack1.Output == "" {
+	conn1 := dialRaw(t, addr)
+	hello := &Request{Op: OpHello, Unit: clientNonce}
+	ack1 := conn1.call(hello)
+	if ack1.Output == "" {
 		t.Fatalf("secretful server issued no challenge: %+v", ack1)
 	}
-	capturedProof := meshProof(secret, ack1.Output, clientNonce, protoVersionText)
-	if err := WriteFrame(conn1, &Request{Op: OpHello, Text: protoVersionText, Blob: capturedProof}); err != nil {
-		t.Fatal(err)
+	capturedProof := &Request{Op: OpHello, Blob: meshProof(secret, ack1.Output, clientNonce)}
+	if fin := conn1.call(capturedProof); fin.Err != "" {
+		t.Fatalf("proof ack: %+v", fin)
 	}
-	var fin1 Response
-	if err := ReadFrame(conn1, &fin1); err != nil || !fin1.Flag {
-		t.Fatalf("final ack: %v %+v", err, fin1)
-	}
-	if resp := meshCallRaw(t, conn1, 1); resp.Err != "" {
+	if resp := conn1.meshFetch(); resp.Err != "" {
 		t.Fatalf("legitimate handshake not authenticated: %q", resp.Err)
 	}
 
 	// Replay both captured frames on a fresh connection.  The server
 	// must issue a different challenge, so the captured proof fails and
-	// mesh operations are refused — while the protocol upgrade itself
-	// still succeeds (only mesh ops are gated).
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if err := WriteFrame(conn2, hello); err != nil {
-		t.Fatal(err)
-	}
-	var ack2 Response
-	if err := ReadFrame(conn2, &ack2); err != nil {
-		t.Fatal(err)
-	}
+	// mesh operations are refused — while the proof itself is still
+	// acknowledged (only mesh ops are gated).
+	conn2 := dialRaw(t, addr)
+	ack2 := conn2.call(hello)
 	if ack2.Output == "" || ack2.Output == ack1.Output {
 		t.Fatalf("challenge not fresh per connection: %q then %q", ack1.Output, ack2.Output)
 	}
-	if err := WriteFrame(conn2, &Request{Op: OpHello, Text: protoVersionText, Blob: capturedProof}); err != nil {
-		t.Fatal(err)
+	if fin := conn2.call(capturedProof); fin.Err != "" {
+		t.Fatalf("wrong proof must still be acknowledged: %+v", fin)
 	}
-	var fin2 Response
-	if err := ReadFrame(conn2, &fin2); err != nil || !fin2.Flag {
-		t.Fatalf("wrong proof must still upgrade the protocol: %v %+v", err, fin2)
-	}
-	if resp := meshCallRaw(t, conn2, 1); resp.Err != meshAuthMsg {
+	if resp := conn2.meshFetch(); resp.Err != meshAuthMsg {
 		t.Fatalf("replayed proof: mesh fetch answered %q, want %q", resp.Err, meshAuthMsg)
+	}
+	if resp := conn2.call(&Request{Op: OpPing}); resp.Err != "" {
+		t.Fatalf("client ops gated on an unauthenticated connection: %q", resp.Err)
 	}
 }

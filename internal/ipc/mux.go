@@ -1,15 +1,12 @@
 package ipc
 
-// Client side of the multiplexed (v2) protocol: the session type.  A
-// session is one connection in either protocol mode.  On v2 it runs a
-// single reader goroutine that demultiplexes tagged completions to
-// per-call channels, so any number of calls share the connection; on
-// v1 it serializes exchanges on a lock, as the single-shot protocol
-// requires.
+// Client side of the protocol: the session type.  A session is one
+// connection with a single reader goroutine that demultiplexes tagged
+// completions to per-call channels, so any number of calls share the
+// connection.
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -18,38 +15,32 @@ import (
 	"time"
 )
 
-// session is one client connection.  It is created in a
-// pre-handshake state; the first call completes the version
-// negotiation (so connect-time failures flow through that call's
-// retry budget) and, on v2, starts the reader goroutine.
+// session is one client connection.  Its reader goroutine starts with
+// it; a session holding a mesh secret runs the hello exchange on first
+// use (so connect-time failures flow through that call's retry
+// budget) before any other request goes out.
 type session struct {
-	conn    net.Conn
-	forceV1 bool
-	// secret, when set, makes the hello request a server challenge
-	// and answer it with a mesh-peer HMAC proof (see meshProof) so
-	// the server authenticates this connection.
+	conn net.Conn
+	// secret, when set, makes the first use ask the server for a
+	// challenge and answer it with a mesh-peer HMAC proof (see
+	// meshProof) so the server authenticates this connection.
 	secret string
 
-	// Handshake state, serialized by hsMu.
-	hsMu   sync.Mutex
-	hsDone bool
-	hsErr  error
-	proto  int
+	// Hello state, serialized by helloMu.
+	helloMu   sync.Mutex
+	helloDone bool
+	helloErr  error
 
 	// dead flips once the session is unusable; the client redials.
 	dead atomic.Bool
 
-	// v1 mode: one outstanding exchange at a time.
-	exMu sync.Mutex
-
-	// v2 send side (guarded by sendMu): a persistent gob encoder into
-	// the reused frame buffer — type descriptors cross once, frames
-	// go out in a single write each, no allocation in steady state.
+	// Send side (guarded by sendMu): a persistent gob encoder into the
+	// reused frame buffer — type descriptors cross once, frames go out
+	// in a single write each, no allocation in steady state.
 	sendMu sync.Mutex
-	enc    *gob.Encoder
-	sbuf   sendBuf
+	w      *frameWriter
 
-	// v2 receive side: the tag table shared between callers and the
+	// Receive side: the tag table shared between callers and the
 	// reader goroutine (guarded by tagMu).  err is set exactly once,
 	// before done closes; calls is nil afterwards.
 	tagMu   sync.Mutex
@@ -68,124 +59,75 @@ type pending struct {
 	ch  chan *Response
 }
 
-func newSession(conn net.Conn, forceV1 bool, secret string) *session {
-	return &session{conn: conn, forceV1: forceV1, secret: secret, done: make(chan struct{})}
+func newSession(conn net.Conn, secret string) *session {
+	s := &session{
+		conn:   conn,
+		secret: secret,
+		w:      newFrameWriter(),
+		calls:  make(map[uint64]*pending),
+		done:   make(chan struct{}),
+	}
+	go s.readLoop()
+	return s
 }
 
 func (s *session) isDead() bool { return s.dead.Load() }
 
-// close tears the session down; in-flight v2 calls fail with a
-// transport error when the reader notices.
+// close tears the session down; in-flight calls fail with a transport
+// error when the reader notices.
 func (s *session) close() error {
 	s.dead.Store(true)
 	return s.conn.Close()
 }
 
-// version reports the negotiated protocol (0 before the handshake).
-func (s *session) version() int {
-	s.hsMu.Lock()
-	defer s.hsMu.Unlock()
-	if !s.hsDone || s.hsErr != nil {
-		return 0
-	}
-	return s.proto
-}
-
-// ensureHandshake negotiates the protocol version on first use: a
-// v1-framed OpHello that a capable server acknowledges (switching the
-// connection to tagged framing) and a legacy server refuses (the
-// session falls back to single-shot v1).  Transport failures poison
-// the session; the caller's retry redials.
-func (s *session) ensureHandshake(deadline time.Time) error {
-	s.hsMu.Lock()
-	defer s.hsMu.Unlock()
-	if s.hsDone {
-		return s.hsErr
-	}
-	s.hsDone = true
-	if s.forceV1 {
-		s.proto = ProtoV1
+// ensureHello runs the mesh hello on first use of a session holding a
+// secret: a hello carrying a fresh client nonce, then — when the
+// server answers with a challenge — a hello carrying the proof.  Other
+// callers wait on helloMu, so no request overtakes the proof.  A
+// failure poisons the session; the caller's retry redials.
+func (s *session) ensureHello(ctx context.Context, deadline time.Time) error {
+	if s.secret == "" {
 		return nil
 	}
-	s.conn.SetDeadline(deadline)
-	hello := &Request{Op: OpHello, Text: protoVersionText}
-	if s.secret != "" {
-		// Mesh-peer authentication rides the hello: the nonce asks a
-		// secretful server for a challenge (answered below).  A server
-		// without the secret ignores it.
-		nonce, err := meshNonce()
-		if err != nil {
-			s.hsErr = err
-			s.close()
-			return err
-		}
-		hello.Unit = nonce
+	s.helloMu.Lock()
+	defer s.helloMu.Unlock()
+	if s.helloDone {
+		return s.helloErr
 	}
-	if err := WriteFrame(s.conn, hello); err != nil {
-		s.hsErr = err
+	s.helloDone = true
+	s.helloErr = s.hello(ctx, deadline)
+	if s.helloErr != nil {
 		s.close()
-		return err
 	}
-	var resp Response
-	if err := ReadFrame(s.conn, &resp); err != nil {
-		s.hsErr = err
-		s.close()
-		return err
-	}
-	if resp.Flag && resp.Text == protoVersionText && s.secret != "" && resp.Output != "" {
-		// The server issued a challenge (Output): answer it with the
-		// HMAC proof over both nonces before the final ack.  Failing
-		// the extra round trip poisons the session like any other
-		// handshake transport error.
-		proof := &Request{Op: OpHello, Text: protoVersionText,
-			Blob: meshProof(s.secret, resp.Output, hello.Unit, protoVersionText)}
-		if err := WriteFrame(s.conn, proof); err != nil {
-			s.hsErr = err
-			s.close()
-			return err
-		}
-		resp = Response{}
-		if err := ReadFrame(s.conn, &resp); err != nil {
-			s.hsErr = err
-			s.close()
-			return err
-		}
-	}
-	if resp.Flag && resp.Text == protoVersionText {
-		s.proto = ProtoV2
-		s.conn.SetDeadline(time.Time{})
-		s.enc = gob.NewEncoder(&s.sbuf)
-		s.calls = make(map[uint64]*pending)
-		go s.readLoop()
-		return nil
-	}
-	// Any refusal (typically `unknown operation "hello"`) is a
-	// v1-only peer: fall back to the single-shot protocol.  The
-	// refused hello consumed one harmless exchange.
-	s.proto = ProtoV1
-	return nil
+	return s.helloErr
 }
 
-// readLoop is the reader goroutine of a v2 session: it demultiplexes
-// tagged completions to parked callers.  Frame buffers and header
-// scratch are reused across iterations; the persistent decoder is fed
-// one payload per frame.  Any failure fails the whole session — every
-// parked call errors out and the client redials.
+func (s *session) hello(ctx context.Context, deadline time.Time) error {
+	nonce, err := meshNonce()
+	if err != nil {
+		return err
+	}
+	ack, err := s.call(ctx, deadline, &Request{Op: OpHello, Unit: nonce})
+	if err != nil {
+		return err
+	}
+	if ack.Output == "" {
+		return nil // a secretless server issues no challenge
+	}
+	_, err = s.call(ctx, deadline, &Request{Op: OpHello, Blob: meshProof(s.secret, ack.Output, nonce)})
+	return err
+}
+
+// readLoop is the session's reader goroutine: it demultiplexes tagged
+// completions to parked callers.  Any failure fails the whole session
+// — every parked call errors out and the client redials.
 func (s *session) readLoop() {
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
-	var hdr [hdrSize]byte
-	var buf []byte
+	fr := newFrameReader(s.conn)
 	for {
-		tag, payload, err := readTagged(s.conn, &hdr, &buf)
+		resp := new(Response)
+		tag, err := fr.next(resp)
 		if err != nil {
 			s.fail(err)
-			return
-		}
-		feeder.set(payload)
-		resp := new(Response)
-		if err := dec.Decode(resp); err != nil {
-			s.fail(&FrameError{Reason: "malformed", Err: err})
 			return
 		}
 		s.tagMu.Lock()
@@ -262,64 +204,38 @@ func (s *session) deregister(tag uint64) {
 	s.tagMu.Unlock()
 }
 
-// send writes one tagged request frame under the send lock: encode
-// into the reused buffer after the reserved header hole, seal, one
-// write.  A send failure fails the session — a partial frame may be
-// on the wire and the encoder's stream state is unrecoverable.
+// send writes one tagged request frame under the send lock.  A send
+// failure fails the session — a partial frame may be on the wire and
+// the encoder's stream state is unrecoverable.
 func (s *session) send(tag uint64, req *Request, deadline time.Time) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	s.sbuf.reset()
-	if err := s.enc.Encode(req); err != nil {
-		err = fmt.Errorf("ipc: encode: %w", err)
-		s.fail(err)
-		return err
+	frame, err := s.w.frame(tag, req)
+	if err == nil {
+		s.conn.SetWriteDeadline(deadline)
+		_, err = s.conn.Write(frame)
 	}
-	if s.sbuf.payloadLen() > maxFrame {
-		err := fmt.Errorf("ipc: frame too large (%d bytes)", s.sbuf.payloadLen())
-		s.fail(err)
-		return err
-	}
-	s.sbuf.seal(tag)
-	s.conn.SetWriteDeadline(deadline)
-	if _, err := s.conn.Write(s.sbuf.b); err != nil {
-		s.fail(err)
-		return err
-	}
-	return nil
-}
-
-// callV1 is one single-shot exchange under the session's exchange
-// lock.  Any failure poisons the session (the stream may be desynced
-// or carry a late response); the caller's retry redials.
-func (s *session) callV1(deadline time.Time, req *Request) (*Response, error) {
-	s.exMu.Lock()
-	defer s.exMu.Unlock()
-	s.conn.SetDeadline(deadline) // zero time clears any prior deadline
-	if err := WriteFrame(s.conn, req); err != nil {
-		s.close()
-		return nil, mapTimeout(err)
-	}
-	var resp Response
-	if err := ReadFrame(s.conn, &resp); err != nil {
-		s.close()
-		return nil, mapTimeout(err)
-	}
-	return &resp, nil
-}
-
-// callV2 is one multiplexed call: register a tag, send the frame,
-// park on the tag's channel until the completion, a session failure,
-// the deadline, or cancellation.  Deadline and cancellation merely
-// abandon the tag — the connection stays healthy for everyone else.
-func (s *session) callV2(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
-	p, err := s.register(1)
 	if err != nil {
-		return nil, err
+		s.fail(err)
 	}
+	return err
+}
+
+// stream runs one request: register a tag expecting up to want
+// completions, send the frame, and hand each completion to recv until
+// recv reports the request finished (its error is the result).  The
+// caller parks until then, a session failure, the deadline, or
+// cancellation; deadline and cancellation merely abandon the tag —
+// the connection stays healthy for everyone else.
+func (s *session) stream(ctx context.Context, deadline time.Time, req *Request, want int,
+	recv func(*Response) (finished bool, err error)) error {
+	p, err := s.register(want)
+	if err != nil {
+		return err
+	}
+	defer s.deregister(p.tag)
 	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
-		return nil, mapTimeout(err)
+		return mapTimeout(err)
 	}
 	var timerC <-chan time.Time
 	if !deadline.IsZero() {
@@ -327,26 +243,44 @@ func (s *session) callV2(ctx context.Context, deadline time.Time, req *Request) 
 		defer t.Stop()
 		timerC = t.C
 	}
-	select {
-	case resp := <-p.ch:
-		s.deregister(p.tag)
-		return resp, nil
-	case <-s.done:
-		// The completion may have raced in just before the failure.
+	for {
 		select {
 		case resp := <-p.ch:
-			s.deregister(p.tag)
-			return resp, nil
-		default:
+			if finished, err := recv(resp); finished {
+				return err
+			}
+		case <-s.done:
+			// Completions may have raced in before the failure — the
+			// Final may already be buffered.
+			for {
+				select {
+				case resp := <-p.ch:
+					if finished, err := recv(resp); finished {
+						return err
+					}
+				default:
+					return s.failure()
+				}
+			}
+		case <-timerC:
+			return fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
+		case <-ctx.Done():
+			return ctx.Err()
 		}
-		return nil, s.failure()
-	case <-timerC:
-		s.deregister(p.tag)
-		return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-	case <-ctx.Done():
-		s.deregister(p.tag)
-		return nil, ctx.Err()
 	}
+}
+
+// call is one request answered by a single completion.
+func (s *session) call(ctx context.Context, deadline time.Time, req *Request) (*Response, error) {
+	var resp *Response
+	err := s.stream(ctx, deadline, req, 1, func(r *Response) (bool, error) {
+		resp = r
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // BatchResult is one item's outcome from InstantiateBatch.
@@ -354,9 +288,6 @@ type BatchResult struct {
 	Path string
 	Err  error
 }
-
-// batchOK is the v1 aggregated wire form of a successful batch item.
-const batchOK = "ok"
 
 // InstantiateBatch asks the daemon to instantiate every named
 // meta-object in one request (OpInstantiateBatch), warming its image
@@ -367,11 +298,10 @@ func (c *Client) InstantiateBatch(paths []string) ([]BatchResult, error) {
 }
 
 // InstantiateBatchCtx is InstantiateBatch bounded by ctx and the
-// configured CallTimeout.  On a v2 session the per-item completions
-// stream back as the server's executor finishes them; on v1 the
-// server answers one aggregated response.  Instantiation is
-// idempotent, so transport failures retry with jittered backoff like
-// any idempotent call.
+// configured CallTimeout.  The per-item completions stream back as
+// the server's executor finishes them.  Instantiation is idempotent,
+// so transport failures retry with jittered backoff like any
+// idempotent call.
 func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]BatchResult, error) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -406,124 +336,43 @@ func (c *Client) InstantiateBatchCtx(ctx context.Context, paths []string) ([]Bat
 	}
 }
 
-// batchOnce performs one batch attempt over whichever protocol the
-// session negotiated.
+// batchOnce performs one batch attempt: one tag carries len(paths)
+// item completions plus the Final summary, streamed in whatever order
+// the server finishes them.
 func (c *Client) batchOnce(ctx context.Context, paths []string, opts Options) ([]BatchResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := c.session(opts)
+	s, deadline, err := c.open(ctx, opts)
 	if err != nil {
 		return nil, err
-	}
-	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, mapTimeout(err)
-	}
-	req := &Request{Op: OpInstantiateBatch, Args: paths}
-	if s.version() != ProtoV2 {
-		// v1 fallback: a single aggregated response.
-		resp, err := s.callV1(deadline, req)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case resp.Err == drainingMsg:
-			return nil, fmt.Errorf("omosd: %w", ErrDraining)
-		case resp.Err != "":
-			return nil, fmt.Errorf("omosd: %s", resp.Err)
-		}
-		if len(resp.Paths) != len(paths) {
-			return nil, fmt.Errorf("ipc: batch shape: %d outcomes for %d items",
-				len(resp.Paths), len(paths))
-		}
-		results := make([]BatchResult, len(paths))
-		for i, o := range resp.Paths {
-			results[i].Path = paths[i]
-			if o != batchOK {
-				results[i].Err = errors.New(o)
-			}
-		}
-		return results, nil
-	}
-	// v2: one tag carries len(paths) item completions plus the Final
-	// summary, streamed in whatever order the server finishes them.
-	p, err := s.register(len(paths) + 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
-		return nil, mapTimeout(err)
 	}
 	results := make([]BatchResult, len(paths))
 	for i := range results {
 		results[i].Path = paths[i]
 	}
-	var timerC <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timerC = t.C
-	}
-	record := func(resp *Response) (final bool, err error) {
-		if resp.Final {
-			switch {
-			case resp.Err == drainingMsg:
-				return true, fmt.Errorf("omosd: %w", ErrDraining)
-			case resp.Err != "":
-				return true, fmt.Errorf("omosd: %s", resp.Err)
+	req := &Request{Op: OpInstantiateBatch, Args: paths}
+	err = s.stream(ctx, deadline, req, len(paths)+1, func(resp *Response) (bool, error) {
+		if !resp.Final {
+			if i := resp.Index; i >= 0 && i < len(results) {
+				results[i].Err = batchItemError(resp)
 			}
-			return true, nil
+			return false, nil
 		}
-		if i := resp.Index; i >= 0 && i < len(results) {
-			results[i].Err = batchItemError(resp)
+		switch {
+		case resp.Err == drainingMsg:
+			return true, fmt.Errorf("omosd: %w", ErrDraining)
+		case resp.Err != "":
+			return true, fmt.Errorf("omosd: %s", resp.Err)
 		}
-		return false, nil
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for {
-		select {
-		case resp := <-p.ch:
-			final, err := record(resp)
-			if final {
-				s.deregister(p.tag)
-				if err != nil {
-					return nil, err
-				}
-				return results, nil
-			}
-		case <-s.done:
-			// Drain completions that raced in before the failure —
-			// the Final may already be buffered.
-			for {
-				select {
-				case resp := <-p.ch:
-					final, err := record(resp)
-					if !final {
-						continue
-					}
-					s.deregister(p.tag)
-					if err != nil {
-						return nil, err
-					}
-					return results, nil
-				default:
-					return nil, s.failure()
-				}
-			}
-		case <-timerC:
-			s.deregister(p.tag)
-			return nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-		case <-ctx.Done():
-			s.deregister(p.tag)
-			return nil, ctx.Err()
-		}
-	}
+	return results, nil
 }
 
-// meshChunk is the blob chunk size OpMeshFetch streams over v2
-// framing: large enough to amortize framing, small enough that a blob
-// transfer never monopolizes the connection's send lock.
+// meshChunk is the blob chunk size OpMeshFetch streams: large enough
+// to amortize framing, small enough that a blob transfer never
+// monopolizes the connection's send lock.
 const meshChunk = 256 << 10
 
 // maxMeshChunks bounds a streamed fetch's chunk count (a blob is at
@@ -533,9 +382,9 @@ const maxMeshChunks = maxFrame/meshChunk + 1
 // MeshFetch asks a mesh peer for a content key's image (OpMeshFetch):
 // a metadata-only MeshInfo when the request set HaveBytes and the
 // owner confirms a rebase suffices, otherwise the encoded record blob,
-// streamed in chunks on a v2 session.  An overload shed trips the
-// per-peer breaker and surfaces as *OverloadedError so the caller can
-// fall back to a local build immediately.
+// streamed in chunks.  An overload shed trips the per-peer breaker and
+// surfaces as *OverloadedError so the caller can fall back to a local
+// build immediately.
 func (c *Client) MeshFetch(ctx context.Context, mreq *MeshReq) (*MeshInfo, []byte, error) {
 	opts := c.options()
 	if rem := c.breakerRemaining(); rem > 0 {
@@ -583,93 +432,37 @@ func (c *Client) meshFetchError(resp *Response) error {
 	}
 }
 
-// meshFetchOnce performs one fetch attempt over whichever protocol the
-// session negotiated.
+// meshFetchOnce performs one fetch attempt: chunked blob responses
+// (Index set) close with a Final frame carrying the MeshInfo.  The
+// server writes them sequentially, so they arrive in order.
 func (c *Client) meshFetchOnce(ctx context.Context, mreq *MeshReq, opts Options) (*MeshInfo, []byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	s, err := c.session(opts)
+	s, deadline, err := c.open(ctx, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	deadline := callDeadline(ctx, opts)
-	if err := s.ensureHandshake(deadline); err != nil {
-		return nil, nil, mapTimeout(err)
-	}
+	var info *MeshInfo
+	var blob []byte
 	req := &Request{Op: OpMeshFetch, Mesh: mreq}
-	if s.version() != ProtoV2 {
-		// v1 fallback: the whole blob in one response.
-		resp, err := s.callV1(deadline, req)
-		if err != nil {
-			return nil, nil, err
+	err = s.stream(ctx, deadline, req, maxMeshChunks+1, func(resp *Response) (bool, error) {
+		if !resp.Final {
+			blob = append(blob, resp.Blob...)
+			return false, nil
 		}
 		if err := c.meshFetchError(resp); err != nil {
-			return nil, nil, err
+			return true, err
 		}
-		return resp.Mesh, resp.Blob, nil
-	}
-	// v2: chunked blob responses (Index set) close with a Final frame
-	// carrying the MeshInfo.  The server writes them sequentially, so
-	// they arrive in order.
-	p, err := s.register(maxMeshChunks + 1)
+		if resp.Mesh != nil && resp.Mesh.Found && !resp.Mesh.MetaOnly &&
+			uint64(len(blob)) != resp.Mesh.Size {
+			return true, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d",
+				len(blob), resp.Mesh.Size)
+		}
+		info = resp.Mesh
+		return true, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.send(p.tag, req, deadline); err != nil {
-		s.deregister(p.tag)
-		return nil, nil, mapTimeout(err)
-	}
-	var timerC <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timerC = t.C
-	}
-	var blob []byte
-	for {
-		select {
-		case resp := <-p.ch:
-			if !resp.Final {
-				blob = append(blob, resp.Blob...)
-				continue
-			}
-			s.deregister(p.tag)
-			if err := c.meshFetchError(resp); err != nil {
-				return nil, nil, err
-			}
-			if resp.Mesh != nil && resp.Mesh.Found && !resp.Mesh.MetaOnly &&
-				uint64(len(blob)) != resp.Mesh.Size {
-				return nil, nil, fmt.Errorf("ipc: mesh fetch: got %d blob bytes, want %d",
-					len(blob), resp.Mesh.Size)
-			}
-			return resp.Mesh, blob, nil
-		case <-s.done:
-			// Drain completions that raced in before the failure.
-			for {
-				select {
-				case resp := <-p.ch:
-					if !resp.Final {
-						blob = append(blob, resp.Blob...)
-						continue
-					}
-					s.deregister(p.tag)
-					if err := c.meshFetchError(resp); err != nil {
-						return nil, nil, err
-					}
-					return resp.Mesh, blob, nil
-				default:
-					return nil, nil, s.failure()
-				}
-			}
-		case <-timerC:
-			s.deregister(p.tag)
-			return nil, nil, fmt.Errorf("ipc: call: %w", context.DeadlineExceeded)
-		case <-ctx.Done():
-			s.deregister(p.tag)
-			return nil, nil, ctx.Err()
-		}
-	}
+	return info, blob, nil
 }
 
 // batchItemError maps one streamed item completion to its error: nil,

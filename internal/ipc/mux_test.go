@@ -1,14 +1,14 @@
 package ipc
 
-// Tests for the multiplexed (v2) protocol: negotiation against v1
-// peers, out-of-order completion, -race stress on one shared client,
-// drain with dozens of parked tags, tag corruption and duplicate
-// delivery, the SetOptions race fix, the allocation-free framed hot
-// path, batch streaming, and the fault sites under pipelined load.
+// Tests for the multiplexed protocol: out-of-order completion, -race
+// stress on one shared client, drain with dozens of parked tags, tag
+// corruption and duplicate delivery, a short mesh-fetch stream, the
+// SetOptions race fix, the allocation-free framed hot path, batch
+// streaming, and the fault sites under pipelined load.
 
 import (
 	"bytes"
-	"encoding/gob"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -22,7 +22,7 @@ import (
 )
 
 // startMuxServer is startServer with access to the Server value (for
-// DisableMux, HandlerPool, Shutdown) and a custom backend.
+// HandlerPool, faults, Shutdown) and a custom backend.
 func startMuxServer(t *testing.T, b Backend, tune func(*Server)) (*Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,45 +46,6 @@ func dialMux(t *testing.T, addr string, opts Options) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-func TestMixedVersionNegotiation(t *testing.T) {
-	// v2 client <-> v2 server: upgrade.
-	_, addr := startMuxServer(t, newFakeBackend(), nil)
-	c := dialMux(t, addr, Options{})
-	if _, err := c.Call(&Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ProtocolVersion(); got != ProtoV2 {
-		t.Fatalf("v2<->v2 negotiated %d, want %d", got, ProtoV2)
-	}
-
-	// v1-pinned client <-> v2 server: the server answers unupgraded
-	// connections in v1 framing.
-	cv1 := dialMux(t, addr, Options{ForceV1: true})
-	if _, err := cv1.Call(&Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cv1.ProtocolVersion(); got != ProtoV1 {
-		t.Fatalf("forced-v1 client negotiated %d, want %d", got, ProtoV1)
-	}
-
-	// v2 client <-> v1-only server: the refused hello falls back.
-	_, addrOld := startMuxServer(t, newFakeBackend(), func(s *Server) { s.DisableMux = true })
-	cOld := dialMux(t, addrOld, Options{})
-	if _, err := cOld.Call(&Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cOld.ProtocolVersion(); got != ProtoV1 {
-		t.Fatalf("v2 client against v1 server negotiated %d, want %d", got, ProtoV1)
-	}
-	// The whole op surface still works on the fallback path.
-	if _, err := cOld.Call(&Request{Op: OpDefine, Path: "/bin/x", Text: "(merge /a)"}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := cOld.Call(&Request{Op: OpRun, Path: "/bin/x"}); err != nil || resp.ExitCode != 7 {
-		t.Fatalf("run over fallback: %v %+v", err, resp)
-	}
 }
 
 // gatedBackend holds selected Run paths until released, so a test can
@@ -149,9 +110,6 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 	close(g.release["/bin/slow"])
 	if err := <-slowDone; err != nil {
 		t.Fatal(err)
-	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("test did not exercise the mux")
 	}
 }
 
@@ -297,9 +255,11 @@ func TestMuxTagCorruption(t *testing.T) {
 	}
 }
 
-// muxHarness hand-rolls a v2 server speaking raw tagged frames, for
-// protocol-abuse tests the real server cannot be coaxed into.
-func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send func(tag uint64, resp *Response))) string {
+// muxHarness hand-rolls a server speaking raw tagged frames, for
+// protocol-abuse tests the real server cannot be coaxed into.  Every
+// accepted connection runs serve; the connection closes when it
+// returns.
+func muxHarness(t *testing.T, serve func(fr *frameReader, send func(tag uint64, resp *Response))) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -307,31 +267,25 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 	}
 	t.Cleanup(func() { l.Close() })
 	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Complete the hello in v1 framing.
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil || req.Op != OpHello {
-			return
-		}
-		if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true}); err != nil {
-			return
-		}
-		var sbuf sendBuf
-		enc := gob.NewEncoder(&sbuf)
-		send := func(tag uint64, resp *Response) {
-			sbuf.reset()
-			if err := enc.Encode(resp); err != nil {
-				t.Errorf("harness encode: %v", err)
+		for {
+			conn, err := l.Accept()
+			if err != nil {
 				return
 			}
-			sbuf.seal(tag)
-			conn.Write(sbuf.b)
+			go func() {
+				defer conn.Close()
+				w := newFrameWriter()
+				send := func(tag uint64, resp *Response) {
+					frame, err := w.frame(tag, resp)
+					if err != nil {
+						t.Errorf("harness encode: %v", err)
+						return
+					}
+					conn.Write(frame)
+				}
+				serve(newFrameReader(conn), send)
+			}()
 		}
-		serve(conn, enc, send)
 	}()
 	return l.Addr().String()
 }
@@ -339,19 +293,11 @@ func muxHarness(t *testing.T, serve func(conn net.Conn, enc *gob.Encoder, send f
 func TestMuxDuplicateTagDelivery(t *testing.T) {
 	// The server completes tag 1 twice, then answers tag 2 normally:
 	// the duplicate must be discarded and the connection survive.
-	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
-		feeder := &payloadFeeder{}
-		dec := gob.NewDecoder(feeder)
-		var hdr [hdrSize]byte
-		var buf []byte
+	addr := muxHarness(t, func(fr *frameReader, send func(uint64, *Response)) {
 		for {
-			tag, payload, err := readTagged(conn, &hdr, &buf)
-			if err != nil {
-				return
-			}
-			feeder.set(payload)
 			var req Request
-			if err := dec.Decode(&req); err != nil {
+			tag, err := fr.next(&req)
+			if err != nil {
 				return
 			}
 			send(tag, &Response{Text: "first", Final: true})
@@ -369,19 +315,15 @@ func TestMuxDuplicateTagDelivery(t *testing.T) {
 	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text != "first" {
 		t.Fatalf("tag 2 after duplicate: %v %+v", err, resp)
 	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("harness did not negotiate v2")
-	}
 }
 
 func TestMuxNeverIssuedTagPoisonsSession(t *testing.T) {
 	// A completion for a tag far beyond anything issued is stream
 	// corruption: every parked call must fail with a tag-mismatch
 	// FrameError.
-	addr := muxHarness(t, func(conn net.Conn, enc *gob.Encoder, send func(uint64, *Response)) {
-		var hdr [hdrSize]byte
-		var buf []byte
-		if _, _, err := readTagged(conn, &hdr, &buf); err != nil {
+	addr := muxHarness(t, func(fr *frameReader, send func(uint64, *Response)) {
+		var req Request
+		if _, err := fr.next(&req); err != nil {
 			return
 		}
 		send(0xDEAD_BEEF, &Response{Final: true})
@@ -391,6 +333,30 @@ func TestMuxNeverIssuedTagPoisonsSession(t *testing.T) {
 	var frameErr *FrameError
 	if !errors.As(err, &frameErr) || frameErr.Reason != "tag-mismatch" {
 		t.Fatalf("got %v, want tag-mismatch FrameError", err)
+	}
+}
+
+func TestMuxMeshFetchShortBlobRejected(t *testing.T) {
+	// The server streams fewer blob bytes than its Final frame claims
+	// and hangs up at once.  Whether the client sees the Final before
+	// or after noticing the close, the short blob must be refused.
+	addr := muxHarness(t, func(fr *frameReader, send func(uint64, *Response)) {
+		var req Request
+		tag, err := fr.next(&req)
+		if err != nil {
+			return
+		}
+		send(tag, &Response{Index: 0, Blob: []byte("short")})
+		send(tag, &Response{Index: 1, Blob: []byte("chunks")})
+		send(tag, &Response{Final: true, Mesh: &MeshInfo{Found: true, Size: 1 << 10}})
+	})
+	for i := 0; i < 60; i++ {
+		c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
+		info, blob, err := c.MeshFetch(context.Background(), &MeshReq{From: "x", CKey: "k"})
+		if err == nil {
+			t.Fatalf("iteration %d: short blob accepted: %d bytes, info %+v", i, len(blob), info)
+		}
+		c.Close()
 	}
 }
 
@@ -500,9 +466,6 @@ func TestBatchStreamingV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ProtocolVersion() != ProtoV2 {
-		t.Fatal("batch did not ride the mux")
-	}
 	if len(results) != len(paths) {
 		t.Fatalf("got %d results for %d paths", len(results), len(paths))
 	}
@@ -520,23 +483,6 @@ func TestBatchStreamingV2(t *testing.T) {
 	b.mu.Unlock()
 	if n != len(paths) {
 		t.Fatalf("backend saw %d items, want %d", n, len(paths))
-	}
-}
-
-func TestBatchAggregatedV1(t *testing.T) {
-	b := &batchBackend{fakeBackend: newFakeBackend()}
-	_, addr := startMuxServer(t, b, func(s *Server) { s.DisableMux = true })
-	c := dialMux(t, addr, Options{CallTimeout: 5 * time.Second})
-	paths := []string{"/bin/a", "/bogus/x"}
-	results, err := c.InstantiateBatch(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ProtocolVersion() != ProtoV1 {
-		t.Fatal("expected the v1 fallback")
-	}
-	if results[0].Err != nil || results[1].Err == nil {
-		t.Fatalf("v1 aggregated results: %+v", results)
 	}
 }
 

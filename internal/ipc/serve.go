@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"crypto/hmac"
 	"errors"
 	"fmt"
 	"net"
@@ -116,12 +115,12 @@ type BatchBackend interface {
 // ErrDraining to retrying clients before closing their connections.
 const DefaultDrainGrace = 250 * time.Millisecond
 
-// DefaultHandlerPool bounds how many requests one multiplexed (v2)
-// connection may have in handlers at once.  When the pool is full the
-// connection's read loop blocks, so backpressure reaches the peer
-// through the transport instead of unbounded goroutine growth; the
-// admission gate behind the handlers still bounds total build
-// concurrency across all connections.
+// DefaultHandlerPool bounds how many requests one connection may have
+// in handlers at once.  When the pool is full the connection's read
+// loop blocks, so backpressure reaches the peer through the transport
+// instead of unbounded goroutine growth; the admission gate behind the
+// handlers still bounds total build concurrency across all
+// connections.
 const DefaultHandlerPool = 32
 
 // Server accepts protocol connections for a Backend and supports
@@ -136,23 +135,13 @@ type Server struct {
 	DrainGrace time.Duration
 
 	// HandlerPool overrides DefaultHandlerPool (per-connection
-	// concurrent handler bound for v2 connections) when set before
-	// Serve.
+	// concurrent handler bound) when set before Serve.
 	HandlerPool int
-
-	// DisableMux refuses protocol upgrades, emulating a legacy
-	// v1-only server: OpHello is answered "unknown operation" and
-	// every connection stays single-shot.  For wire-compat tests and
-	// staged rollouts.
-	DisableMux bool
 
 	// MeshSecret, when set before Serve, gates the mesh operations:
 	// only connections that answered the hello challenge with a valid
 	// HMAC proof of this shared secret may issue them (see
-	// helloUpgrade).  Ordinary client operations are
-	// unaffected.  (Authentication rides the v2 hello, so against a
-	// DisableMux server a secretful mesh peer cannot authenticate —
-	// mesh and mux are deployed together.)
+	// Server.hello).  Ordinary client operations are unaffected.
 	MeshSecret string
 
 	mu       sync.Mutex
@@ -241,9 +230,9 @@ func (s *Server) Shutdown() {
 		l.Close()
 	}
 	s.inflight.Wait()
-	// Nudge every idle reader: after the grace deadline its ReadFrame
-	// fails and the handler closes the connection itself.  Until then
-	// a client that races its request against our SIGTERM gets a
+	// Nudge every idle reader: after the grace deadline its read fails
+	// and the read loop closes the connection itself.  Until then a
+	// client that races its request against our SIGTERM gets a
 	// typed "draining" response, not a RST mid-frame.
 	deadline := time.Now().Add(grace)
 	s.mu.Lock()
@@ -276,106 +265,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	for {
-		if err := s.faults.Fire(fault.SiteIPCRead); err != nil {
-			return // simulated receive failure: drop the connection
-		}
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
-			// EOF, a drain-deadline expiry, or a damaged frame
-			// (*FrameError): all fatal to this connection only.
-			return
-		}
-		if req.Op == OpHello && !s.DisableMux {
-			// Protocol upgrade: acknowledge in v1 framing, then the
-			// connection switches to tagged v2 frames.  (A v1-only
-			// server falls through to handle(), whose unknown-op
-			// error tells the client to stay on v1.)  When both sides
-			// hold the mesh secret the hello also runs the
-			// challenge-response that marks the connection as an
-			// authenticated peer; a wrong proof still upgrades the
-			// protocol — only the mesh operations are gated.
-			authed, ok := s.helloUpgrade(conn, &req)
-			if !ok {
-				return
-			}
-			s.serveMux(conn, authed)
-			return
-		}
-		// Register in-flight under the lock: a request is either
-		// registered before Shutdown flips closed (and thus drained),
-		// or refused.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			// Keep answering retries until the drain deadline set by
-			// Shutdown expires the read above.
-			if err := WriteFrame(conn, &Response{Err: drainingMsg}); err != nil {
-				return
-			}
-			continue
-		}
-		s.inflight.Add(1)
-		s.mu.Unlock()
-		resp := s.safeHandle(&req, false)
-		s.inflight.Done()
-		if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-			return // simulated send failure: response lost, conn dropped
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-// helloUpgrade acknowledges a hello in v1 framing and, when this
-// server has a mesh secret and the hello carried a client nonce, runs
-// the peer-auth challenge-response: the ack carries a fresh server
-// nonce (Output), the client answers with one more v1-framed hello
-// whose Blob is meshProof(secret, server nonce, client nonce,
-// version), and a final ack closes the exchange.  The server nonce is
-// issued here, never chosen by the client, so a proof captured off one
-// connection never authenticates another.  ok=false means the
-// connection must be dropped (transport failure, a malformed
-// continuation, or no secure randomness for the challenge).
-func (s *Server) helloUpgrade(conn net.Conn, req *Request) (authed, ok bool) {
-	challenge := ""
-	if s.MeshSecret != "" && req.Unit != "" {
-		c, err := meshNonce()
-		if err != nil {
-			// No secure challenge possible: refuse the connection
-			// rather than authenticate against a guessable nonce.
-			return false, false
-		}
-		challenge = c
-	}
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		return false, false
-	}
-	if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true, Output: challenge}); err != nil {
-		return false, false
-	}
-	if challenge == "" {
-		return false, true
-	}
-	var proof Request
-	if err := ReadFrame(conn, &proof); err != nil {
-		return false, false
-	}
-	if proof.Op != OpHello {
-		return false, false
-	}
-	authed = hmac.Equal(proof.Blob, meshProof(s.MeshSecret, challenge, req.Unit, protoVersionText))
-	if err := WriteFrame(conn, &Response{Text: protoVersionText, Flag: true}); err != nil {
-		return false, false
-	}
-	return authed, true
+	s.serveMux(conn)
 }
 
 // safeHandle dispatches one request with panic isolation: a panicking
 // handler produces an error response and a Recovered increment, and
 // the connection lives on.  authed reports whether the connection
-// proved the mesh secret at hello time.
+// proved the mesh secret in its hello.
 func (s *Server) safeHandle(req *Request, authed bool) (resp *Response) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -589,28 +485,6 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		if err := ub.UpgradeRollback(req.Text); err != nil {
 			return fail(err)
 		}
-	case OpInstantiateBatch:
-		// v1 aggregated form: the items still build concurrently
-		// server-side, but the outcomes travel in one response
-		// ("ok" or the error text, positionally).  v2 connections
-		// stream per-item completions instead (handleBatchMux).
-		bb, ok := b.(BatchBackend)
-		if !ok {
-			return fail(fmt.Errorf("backend does not support batch instantiation"))
-		}
-		outcomes := make([]string, len(req.Args))
-		bb.InstantiateBatch(req.Args, func(i int, err error) {
-			if i < 0 || i >= len(outcomes) {
-				return
-			}
-			if err != nil {
-				outcomes[i] = err.Error()
-			} else {
-				outcomes[i] = batchOK
-			}
-		})
-		resp.Paths = outcomes
-		resp.Final = true
 	case OpMeshFetch, OpMeshPut, OpMeshGossip, OpMeshRebalance:
 		mb, ok := b.(MeshBackend)
 		if !ok {

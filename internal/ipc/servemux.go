@@ -1,56 +1,46 @@
 package ipc
 
-// Server side of the multiplexed (v2) protocol.  serveConn upgrades a
-// connection here after acknowledging OpHello: a read loop decodes
-// tagged requests and dispatches each into a bounded per-connection
-// handler pool, and completions are written back as they land — out
-// of order — under a send mutex.  The v1 robustness semantics hold
-// per tag instead of per connection: a draining server answers every
+// Server side of the protocol.  serveConn hands every connection to
+// serveMux: a read loop decodes tagged requests and dispatches each
+// into a bounded per-connection handler pool, and completions are
+// written back as they land — out of order — under a send mutex.  The
+// robustness semantics hold per tag: a draining server answers every
 // late tag with a clean ErrDraining, the inflight ledger spans every
 // admitted tag (so Shutdown waits for all of them), and a handler
 // panic is contained to its connection, never the accept loop.
 
 import (
-	"encoding/gob"
-	"fmt"
+	"crypto/hmac"
 	"net"
 	"sync"
 
 	"omos/internal/fault"
 )
 
-// muxConn is the send half of one v2 connection: a persistent gob
+// muxConn is the send half of one connection: a persistent gob
 // encoder into a reused frame buffer, serialized by sendMu so
 // concurrent handlers interleave whole frames, never bytes.
 type muxConn struct {
 	conn   net.Conn
 	faults *fault.Set
-	// authed reports whether this connection's hello carried a valid
-	// proof of the mesh secret (set once at upgrade, read-only after).
-	authed bool
 
 	sendMu sync.Mutex
-	enc    *gob.Encoder
-	sbuf   sendBuf
+	w      *frameWriter
 }
 
 // write seals and sends one tagged completion in a single conn.Write.
 func (m *muxConn) write(tag uint64, resp *Response) error {
 	m.sendMu.Lock()
 	defer m.sendMu.Unlock()
-	m.sbuf.reset()
-	if err := m.enc.Encode(resp); err != nil {
-		return fmt.Errorf("ipc: encode: %w", err)
+	frame, err := m.w.frame(tag, resp)
+	if err != nil {
+		return err
 	}
-	if m.sbuf.payloadLen() > maxFrame {
-		return fmt.Errorf("ipc: frame too large (%d bytes)", m.sbuf.payloadLen())
-	}
-	m.sbuf.seal(tag)
 	// Corrupt-kind rules at ipc.write damage the tag field in place:
 	// a deterministic tag-mismatch at the receiver without desyncing
 	// the gob payload stream (which damaged length bytes would).
-	copy(m.sbuf.tagBytes(), m.faults.Corrupt(fault.SiteIPCWrite, m.sbuf.tagBytes()))
-	_, err := m.conn.Write(m.sbuf.b)
+	copy(m.w.sbuf.tagBytes(), m.faults.Corrupt(fault.SiteIPCWrite, m.w.sbuf.tagBytes()))
+	_, err = m.conn.Write(frame)
 	return err
 }
 
@@ -62,17 +52,53 @@ func (s *Server) handlerPool() int {
 	return DefaultHandlerPool
 }
 
-// serveMux runs one upgraded connection until it dies or the drain
-// deadline expires.  The read loop never handles requests itself:
-// each decoded request takes a pool slot (blocking when the pool is
+// helloState is one connection's mesh-auth state, owned by its read
+// loop: the outstanding challenge and the client nonce it answers,
+// and whether a proof has been accepted.
+type helloState struct {
+	challenge, clientNonce string
+	authed                 bool
+}
+
+// hello answers one OpHello frame.  A hello carrying a client nonce
+// asks for a challenge: a server with a mesh secret draws a fresh one
+// (never client-chosen, so a proof captured off one connection never
+// authenticates another); a secretless server answers without one.  A
+// hello carrying a proof (Blob) is checked against the outstanding
+// challenge, which it consumes.  A wrong proof is acknowledged all the
+// same — only the mesh operations are gated.  An error (no secure
+// randomness for the challenge) means the connection must be dropped
+// rather than authenticated against a guessable nonce.
+func (s *Server) hello(h *helloState, req *Request) (*Response, error) {
+	if len(req.Blob) > 0 {
+		h.authed = h.challenge != "" &&
+			hmac.Equal(req.Blob, meshProof(s.MeshSecret, h.challenge, h.clientNonce))
+		h.challenge = ""
+		return &Response{}, nil
+	}
+	h.challenge, h.clientNonce = "", ""
+	if s.MeshSecret == "" || req.Unit == "" {
+		return &Response{}, nil
+	}
+	c, err := meshNonce()
+	if err != nil {
+		return nil, err
+	}
+	h.challenge, h.clientNonce = c, req.Unit
+	return &Response{Output: c}, nil
+}
+
+// serveMux runs one connection until it dies or the drain deadline
+// expires.  Hello frames are answered inline, so the connection's
+// authenticated mark is settled before any later frame is dispatched.
+// Every other request takes a pool slot (blocking when the pool is
 // saturated — backpressure reaches the peer through the transport)
 // and runs in its own goroutine, so a slow request never delays the
 // tags behind it.
-func (s *Server) serveMux(conn net.Conn, authed bool) {
-	m := &muxConn{conn: conn, faults: s.faults, authed: authed}
-	m.enc = gob.NewEncoder(&m.sbuf)
-	feeder := &payloadFeeder{}
-	dec := gob.NewDecoder(feeder)
+func (s *Server) serveMux(conn net.Conn) {
+	m := &muxConn{conn: conn, faults: s.faults, w: newFrameWriter()}
+	fr := newFrameReader(conn)
+	var auth helloState
 	pool := make(chan struct{}, s.handlerPool())
 	var handlers sync.WaitGroup
 	defer func() {
@@ -82,22 +108,23 @@ func (s *Server) serveMux(conn net.Conn, authed bool) {
 		conn.Close()
 		handlers.Wait()
 	}()
-	var hdr [hdrSize]byte
-	var buf []byte
 	for {
 		if err := s.faults.Fire(fault.SiteIPCRead); err != nil {
 			return // simulated receive failure: drop the connection
 		}
-		tag, payload, err := readTagged(conn, &hdr, &buf)
+		req := new(Request)
+		tag, err := fr.next(req)
 		if err != nil {
 			// EOF, a drain-deadline expiry, or a damaged frame: all
 			// fatal to this connection only.
 			return
 		}
-		feeder.set(payload)
-		req := new(Request)
-		if err := dec.Decode(req); err != nil {
-			return
+		if req.Op == OpHello {
+			resp, err := s.hello(&auth, req)
+			if err != nil || !s.complete(m, tag, resp) {
+				return
+			}
+			continue
 		}
 		// Admit under the lock: a tag is either in the inflight
 		// ledger before Shutdown flips closed (and thus drained), or
@@ -114,12 +141,24 @@ func (s *Server) serveMux(conn net.Conn, authed bool) {
 		s.mu.Unlock()
 		pool <- struct{}{} // blocks when the pool is saturated
 		handlers.Add(1)
-		go s.handleTag(m, tag, req, pool, &handlers)
+		go s.handleTag(m, tag, req, auth.authed, pool, &handlers)
 	}
 }
 
+// complete writes a request's closing (Final) frame.  A failed write,
+// or an injected ipc.write fault, drops the connection: the peer fails
+// every tag still parked on it and redials.
+func (s *Server) complete(m *muxConn, tag uint64, resp *Response) bool {
+	resp.Final = true
+	if s.faults.Fire(fault.SiteIPCWrite) != nil || m.write(tag, resp) != nil {
+		m.conn.Close()
+		return false
+	}
+	return true
+}
+
 // handleTag runs one admitted request and writes its completion(s).
-func (s *Server) handleTag(m *muxConn, tag uint64, req *Request, pool chan struct{}, handlers *sync.WaitGroup) {
+func (s *Server) handleTag(m *muxConn, tag uint64, req *Request, authed bool, pool chan struct{}, handlers *sync.WaitGroup) {
 	defer handlers.Done()
 	defer func() { <-pool }()
 	defer s.inflight.Done()
@@ -133,37 +172,27 @@ func (s *Server) handleTag(m *muxConn, tag uint64, req *Request, pool chan struc
 			m.conn.Close()
 		}
 	}()
-	if req.Op == OpInstantiateBatch {
-		s.handleBatchMux(m, tag, req)
-		return
-	}
-	if req.Op == OpMeshFetch {
-		s.handleMeshFetchMux(m, tag, req)
-		return
-	}
-	resp := s.safeHandle(req, m.authed)
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		m.conn.Close() // simulated send failure: completion lost, conn dropped
-		return
-	}
-	resp.Final = true
-	if err := m.write(tag, resp); err != nil {
-		m.conn.Close()
-		return
+	switch req.Op {
+	case OpInstantiateBatch:
+		s.handleBatch(m, tag, req)
+	case OpMeshFetch:
+		s.handleMeshFetch(m, tag, req, authed)
+	default:
+		s.complete(m, tag, s.safeHandle(req, authed))
 	}
 }
 
-// handleBatchMux streams one batch request: every item lands as its
-// own tagged response (Index set, Final false) the moment the
-// executor finishes it — out of order, from concurrent goroutines —
-// and a Final summary closes the batch.  One inflight credit spans
-// the whole batch, so graceful drain waits for every item.  Per-item
-// failures (including admission sheds, which carry the retry-after
-// hint) stay per item and never abort siblings.
-func (s *Server) handleBatchMux(m *muxConn, tag uint64, req *Request) {
+// handleBatch streams one batch request: every item lands as its own
+// tagged response (Index set, Final false) the moment the executor
+// finishes it — out of order, from concurrent goroutines — and a Final
+// summary closes the batch.  One inflight credit spans the whole
+// batch, so graceful drain waits for every item.  Per-item failures
+// (including admission sheds, which carry the retry-after hint) stay
+// per item and never abort siblings.
+func (s *Server) handleBatch(m *muxConn, tag uint64, req *Request) {
 	bb, ok := s.b.(BatchBackend)
 	if !ok {
-		m.write(tag, &Response{Err: "backend does not support batch instantiation", Final: true})
+		s.complete(m, tag, &Response{Err: "backend does not support batch instantiation"})
 		return
 	}
 	bb.InstantiateBatch(req.Args, func(i int, err error) {
@@ -176,28 +205,18 @@ func (s *Server) handleBatchMux(m *muxConn, tag uint64, req *Request) {
 		// wasted).
 		m.write(tag, resp)
 	})
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		m.conn.Close()
-		return
-	}
-	if err := m.write(tag, &Response{Final: true}); err != nil {
-		m.conn.Close()
-	}
+	s.complete(m, tag, &Response{})
 }
 
-// handleMeshFetchMux streams one mesh fetch: a metadata-only or
-// not-found reply is a single Final frame, while a blob reply travels
-// as meshChunk-sized chunk frames (Index set, Final false) closed by a
+// handleMeshFetch streams one mesh fetch: a metadata-only or not-found
+// reply is a single Final frame, while a blob reply travels as
+// meshChunk-sized chunk frames (Index set, Final false) closed by a
 // Final frame carrying the MeshInfo.  The chunks are written
 // sequentially from this one goroutine, so they arrive in order.
-func (s *Server) handleMeshFetchMux(m *muxConn, tag uint64, req *Request) {
-	resp := s.safeHandle(req, m.authed)
+func (s *Server) handleMeshFetch(m *muxConn, tag uint64, req *Request, authed bool) {
+	resp := s.safeHandle(req, authed)
 	blob := resp.Blob
 	resp.Blob = nil
-	if err := s.faults.Fire(fault.SiteIPCWrite); err != nil {
-		m.conn.Close()
-		return
-	}
 	for i := 0; len(blob) > 0; i++ {
 		n := len(blob)
 		if n > meshChunk {
@@ -209,8 +228,5 @@ func (s *Server) handleMeshFetchMux(m *muxConn, tag uint64, req *Request) {
 		}
 		blob = blob[n:]
 	}
-	resp.Final = true
-	if err := m.write(tag, resp); err != nil {
-		m.conn.Close()
-	}
+	s.complete(m, tag, resp)
 }
