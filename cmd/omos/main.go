@@ -31,10 +31,11 @@
 //	explain <symbol>            binding provenance: which definer each
 //	                            cached image binds the symbol to, how
 //	                            it was resolved, at which generation
-//	stats                       server and memory statistics
-//	health                      daemon liveness + robustness counters
-//	                            (exits 1 when draining, degraded, or a
-//	                            live-upgrade rollback is in progress)
+//	stats                       daemon state and every counter, one
+//	                            name=value per line
+//	health                      the same report; exits 1 when draining,
+//	                            degraded, or a live-upgrade rollback is
+//	                            in progress
 //	graph                       build-graph report: node counters,
 //	                            recent instantiation runs, event tail
 //	upgrade [--canary=N%] [--prog] <path> <file> ...
@@ -56,7 +57,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"omos/internal/ipc"
 )
@@ -180,9 +180,15 @@ func main() {
 		}
 		resp := call(c, &ipc.Request{Op: ipc.OpExplain, Path: rest[0]})
 		fmt.Print(resp.Text)
-	case "stats":
-		resp := call(c, &ipc.Request{Op: ipc.OpStats})
-		fmt.Print(resp.Text)
+	case "stats", "health":
+		h := call(c, &ipc.Request{Op: ipc.OpHealth}).Health
+		if h == nil {
+			fatal(fmt.Errorf("daemon sent no %s report", cmd))
+		}
+		fmt.Print(h.Render())
+		if cmd == "health" && !h.Healthy() {
+			os.Exit(1)
+		}
 	case "graph":
 		resp := call(c, &ipc.Request{Op: ipc.OpGraph})
 		fmt.Print(resp.Text)
@@ -229,38 +235,6 @@ func main() {
 					Path: pairs[j], Text: readFile(pairs[j+1]), Args: []string{kind}})
 				fmt.Printf("staged %s\n", pairs[j])
 			}
-		}
-	case "health":
-		resp := call(c, &ipc.Request{Op: ipc.OpHealth})
-		if resp.Health == nil {
-			fatal(fmt.Errorf("daemon did not report health"))
-		}
-		h := resp.Health
-		fmt.Printf("uptime=%s inflight-builds=%d recovered=%d quarantined=%d warm-loaded=%d "+
-			"queue-depth=%d shed=%d build-timeouts=%d scrub-checked=%d scrub-quarantined=%d "+
-			"degraded=%v draining=%v\n",
-			(time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond),
-			h.InflightBuilds, h.Recovered, h.Quarantined, h.WarmLoaded,
-			h.QueueDepth, h.Shed, h.BuildTimeouts, h.ScrubChecked, h.ScrubQuarantined,
-			h.Degraded, h.Draining)
-		if h.Degraded {
-			fmt.Printf("degraded-reason: %s\n", h.DegradedReason)
-		}
-		if h.UpgradeActive || h.UpgradeVerdict != "" {
-			fmt.Printf("upgrade: active=%v epoch=%s canary=%d%% rolling-back=%v verdict=%q\n",
-				h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct,
-				h.UpgradeRollingBack, h.UpgradeVerdict)
-		}
-		if h.MeshShards > 0 {
-			fmt.Printf("mesh: peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d\n",
-				h.MeshPeersUp, h.MeshPeers, h.MeshShards,
-				h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds)
-		}
-		// A draining or degraded daemon is not a healthy daemon — nor
-		// is one mid-rollback: non-zero exit so scripts and
-		// orchestrators notice.
-		if h.Draining || h.Degraded || h.UpgradeRollingBack {
-			os.Exit(1)
 		}
 	default:
 		usage()

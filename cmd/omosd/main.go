@@ -26,9 +26,9 @@
 // 0 means unlimited.
 //
 // -health queries a running daemon at the -listen address and prints
-// its liveness counters (uptime, in-flight builds, recovered panics,
-// quarantined blobs, shed requests, degraded verdict) instead of
-// serving; it exits non-zero when the daemon is draining or degraded.
+// its state and every counter, exactly as `omos health` does, instead
+// of serving; it exits non-zero when the daemon is draining, degraded
+// or rolling back a live upgrade.
 //
 // -graph queries a running daemon and prints its build-graph report:
 // lifetime node counters, active and recent instantiation runs with
@@ -113,10 +113,10 @@ func main() {
 	flag.Parse()
 
 	if *health {
-		os.Exit(queryHealth(*listen))
+		os.Exit(query(*listen, ipc.OpHealth))
 	}
 	if *graph {
-		os.Exit(queryGraph(*listen))
+		os.Exit(query(*listen, ipc.OpGraph))
 	}
 	if *listFaults {
 		// The registry dump needs no daemon: it is the build's own
@@ -217,8 +217,11 @@ func main() {
 	log.Printf("omosd: shut down cleanly")
 }
 
-// queryGraph dials a running daemon and prints its build-graph report.
-func queryGraph(addr string) int {
+// query dials a running daemon at addr and prints its reply to op:
+// the build-graph report for OpGraph, the rendered health report for
+// OpHealth.  The exit status is nonzero when the call fails or the
+// daemon is not healthy.
+func query(addr string, op ipc.Op) int {
 	if strings.HasPrefix(addr, ":") {
 		addr = "127.0.0.1" + addr
 	}
@@ -227,70 +230,24 @@ func queryGraph(addr string) int {
 		CallTimeout:    5 * time.Second,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: graph: %v\n", err)
+		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", op, err)
 		return 1
 	}
 	defer c.Close()
-	resp, err := c.Call(&ipc.Request{Op: ipc.OpGraph})
+	resp, err := c.Call(&ipc.Request{Op: op})
+	if err == nil && op == ipc.OpHealth && resp.Health == nil {
+		err = fmt.Errorf("daemon sent no health report")
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: graph: %v\n", err)
+		fmt.Fprintf(os.Stderr, "omosd: %s: %v\n", op, err)
 		return 1
 	}
-	fmt.Print(resp.Text)
-	return 0
-}
-
-// queryHealth dials a running daemon and prints its health counters.
-// Exit status 0 means alive and not draining.
-func queryHealth(addr string) int {
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
+	if op == ipc.OpGraph {
+		fmt.Print(resp.Text)
+		return 0
 	}
-	c, err := ipc.DialWith(addr, ipc.Options{
-		ConnectTimeout: 3 * time.Second,
-		CallTimeout:    5 * time.Second,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omosd: health: %v\n", err)
-		return 1
-	}
-	defer c.Close()
-	resp, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
-	if err != nil || resp.Health == nil {
-		fmt.Fprintf(os.Stderr, "omosd: health: %v\n", err)
-		return 1
-	}
-	h := resp.Health
-	fmt.Printf("uptime:          %s\n", (time.Duration(h.UptimeMS) * time.Millisecond).Round(time.Millisecond))
-	fmt.Printf("inflight-builds: %d\n", h.InflightBuilds)
-	fmt.Printf("recovered:       %d\n", h.Recovered)
-	fmt.Printf("quarantined:     %d\n", h.Quarantined)
-	fmt.Printf("warm-loaded:     %d\n", h.WarmLoaded)
-	fmt.Printf("queue-depth:     %d\n", h.QueueDepth)
-	fmt.Printf("shed:            %d\n", h.Shed)
-	fmt.Printf("build-timeouts:  %d\n", h.BuildTimeouts)
-	fmt.Printf("scrub-checked:   %d\n", h.ScrubChecked)
-	fmt.Printf("scrub-quarantined: %d\n", h.ScrubQuarantined)
-	fmt.Printf("nodes-built:     %d\n", h.NodesBuilt)
-	fmt.Printf("nodes-resumed:   %d\n", h.NodesResumed)
-	fmt.Printf("checkpoints:     %d\n", h.NodesCheckpointed)
-	fmt.Printf("checkpoint-bytes: %d\n", h.CheckpointBytes)
-	fmt.Printf("degraded:        %v\n", h.Degraded)
-	if h.Degraded {
-		fmt.Printf("degraded-reason: %s\n", h.DegradedReason)
-	}
-	if h.UpgradeActive || h.UpgradeVerdict != "" {
-		fmt.Printf("upgrade:         active=%v epoch=%s canary=%d%% rolling-back=%v verdict=%q\n",
-			h.UpgradeActive, h.UpgradeEpoch, h.UpgradeCanaryPct,
-			h.UpgradeRollingBack, h.UpgradeVerdict)
-	}
-	if h.MeshShards > 0 {
-		fmt.Printf("mesh:            peers-up=%d/%d shards=%d peer-fetches=%d meta-rebases=%d blob-fetches=%d gossip-rounds=%d\n",
-			h.MeshPeersUp, h.MeshPeers, h.MeshShards,
-			h.MeshPeerFetches, h.MeshMetaRebases, h.MeshBlobFetches, h.MeshGossipRounds)
-	}
-	fmt.Printf("draining:        %v\n", h.Draining)
-	if h.Draining || h.Degraded || h.UpgradeRollingBack {
+	fmt.Print(resp.Health.Render())
+	if !resp.Health.Healthy() {
 		return 1
 	}
 	return 0

@@ -82,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("server B ran /bin/app against A's library: exit=%d\n", res.ExitCode)
-	fmt.Println(nodeB.StatsLine())
+	fmt.Printf("server B mesh counters: %+v\n", nodeB.Counters())
 
 	// ---- Unix-namespace export: #! files (§5) ----
 	if err := sysB.RT.ExportToUnix("/bin/app", "/usr/bin/app"); err != nil {

@@ -13,6 +13,7 @@ import (
 	"omos/internal/ipc"
 	"omos/internal/mesh"
 	"omos/internal/obj"
+	"omos/internal/server"
 	"omos/internal/vm"
 	"omos/internal/workload"
 )
@@ -28,7 +29,6 @@ type Backend struct {
 
 var (
 	_ ipc.Backend        = (*Backend)(nil)
-	_ ipc.HealthBackend  = (*Backend)(nil)
 	_ ipc.GraphBackend   = (*Backend)(nil)
 	_ ipc.BatchBackend   = (*Backend)(nil)
 	_ ipc.ExplainBackend = (*Backend)(nil)
@@ -136,7 +136,7 @@ func (b *Backend) UpgradeRollback(reason string) error {
 
 // UpgradeStatus implements ipc.UpgradeBackend.
 func (b *Backend) UpgradeStatus() (string, bool) {
-	return b.Sys.Srv.UpgradeStatsLine(), b.Sys.Srv.UpgradeStatus().Active
+	return b.Sys.Srv.UpgradeStatusLine(), b.Sys.Srv.UpgradeStatus().Active
 }
 
 // Run implements ipc.Backend.
@@ -252,34 +252,42 @@ func (f Fetcher) FetchObject(path string) ([]byte, error) {
 	return resp.Blob, nil
 }
 
-// Health implements ipc.HealthBackend: the liveness and robustness
-// counters behind omosd -health.  The transport adds its own
-// recovered-panic count and the draining flag.
+// counters is the daemon's counter list in report order: its own
+// gauges, every server.Stats counter, the simulated machine's memory,
+// and the mesh node's counters (zero outside a mesh).
+type counters struct {
+	UptimeMS       int64
+	InflightBuilds int
+	QueueDepth     int
+	server.Stats
+	Frames, SharedFrames, ResidentKB, SavedKB int
+	mesh.Counters
+}
+
+// Health implements ipc.Backend: the state and counters behind
+// omos stats, omos health and omosd -health.
 func (b *Backend) Health() ipc.HealthInfo {
-	st := b.Sys.Srv.Stats()
-	degraded, reason := b.Sys.Srv.Degraded()
-	up := b.Sys.Srv.UpgradeStatus()
+	srv := b.Sys.Srv
+	degraded, reason := srv.Degraded()
+	up := srv.UpgradeStatus()
 	verdict := up.Verdict
 	if !up.Active {
 		verdict = up.LastAborted
 	}
+	mem := b.Sys.MemStats()
+	c := counters{
+		UptimeMS:       time.Since(b.start).Milliseconds(),
+		InflightBuilds: srv.InflightBuilds(),
+		QueueDepth:     srv.Admission().Queued(),
+		Stats:          srv.Stats(),
+		Frames:         mem.Frames,
+		SharedFrames:   mem.SharedFrames,
+		ResidentKB:     mem.Bytes() / 1024,
+		SavedKB:        mem.SavedBytes() / 1024,
+	}
 	hi := ipc.HealthInfo{
-		UptimeMS:           uint64(time.Since(b.start).Milliseconds()),
-		InflightBuilds:     b.Sys.Srv.InflightBuilds(),
-		Recovered:          st.Recovered,
-		Quarantined:        st.StoreQuarantined,
-		WarmLoaded:         st.WarmLoaded,
 		Degraded:           degraded,
 		DegradedReason:     reason,
-		QueueDepth:         b.Sys.Srv.Admission().Queued(),
-		Shed:               st.Shed,
-		BuildTimeouts:      st.BuildTimeouts,
-		ScrubChecked:       st.ScrubChecked,
-		ScrubQuarantined:   st.ScrubQuarantined,
-		NodesBuilt:         st.NodesBuilt,
-		NodesResumed:       st.NodesResumed,
-		NodesCheckpointed:  st.NodesCheckpointed,
-		CheckpointBytes:    st.CheckpointBytes,
 		UpgradeActive:      up.Active,
 		UpgradeEpoch:       up.Epoch,
 		UpgradeCanaryPct:   up.CanaryPct,
@@ -287,41 +295,13 @@ func (b *Backend) Health() ipc.HealthInfo {
 		UpgradeVerdict:     verdict,
 	}
 	if b.Mesh != nil {
-		b.Mesh.Health(&hi)
+		c.Counters = b.Mesh.Counters()
+		hi.MeshSelf = b.Mesh.Self()
 	}
+	hi.Counters = ipc.Counters(c)
 	return hi
 }
 
 // Graph implements ipc.GraphBackend: the build-graph report behind
 // `omos graph` and omosd -graph.
 func (b *Backend) Graph() string { return b.Sys.Srv.GraphReport() }
-
-// Stats implements ipc.Backend.
-func (b *Backend) Stats() string {
-	st := b.Sys.MemStats()
-	srv := b.Sys.Srv.Stats()
-	return fmt.Sprintf(
-		"cache: hits=%d misses=%d images=%d relocs=%d buildcycles=%d\n"+
-			"rebase: slides=%d misses=%d patches=%d dirty-pages=%d shared-pages=%d\n"+
-			"memory: frames=%d resident=%dKB shared-frames=%d saved=%dKB\n"+
-			"store: warm-loaded=%d loads=%d stores=%d evictions=%d corrupt=%d bytes=%d\n"+
-			"graph: built=%d cached=%d resumed=%d failed=%d checkpoints=%d ckpt-failed=%d ckpt-bytes=%d\n"+
-			"resolve: searches=%d hits=%d misses=%d invalidations=%d pin-violations=%d rebinds-blocked=%d rebinds-allowed=%d\n",
-		srv.CacheHits, srv.CacheMisses, srv.ImagesBuilt, srv.RelocsApplied, srv.BuildCycles,
-		srv.Rebases, srv.RebaseMiss, srv.RebasePatches, srv.RebaseDirtyPages, srv.RebaseSharedPages,
-		st.Frames, st.Bytes()/1024, st.SharedFrames, st.SavedBytes()/1024,
-		srv.WarmLoaded, srv.StoreLoads, srv.StoreStores, srv.StoreEvictions, srv.StoreCorrupt, srv.StoreBytes,
-		srv.NodesBuilt, srv.NodesCached, srv.NodesResumed, srv.NodesFailed,
-		srv.NodesCheckpointed, srv.CheckpointsFailed, srv.CheckpointBytes,
-		srv.SymbolSearches, srv.BindingHits, srv.BindingMisses, srv.BindingInvalidations,
-		srv.PinViolations, srv.RebindsBlocked, srv.RebindsAllowed) +
-		b.Sys.Srv.UpgradeStatsLine() + "\n" + b.meshLine()
-}
-
-// meshLine renders the mesh stats line (empty outside a mesh).
-func (b *Backend) meshLine() string {
-	if b.Mesh == nil {
-		return ""
-	}
-	return b.Mesh.StatsLine() + "\n"
-}

@@ -75,10 +75,11 @@ func TestEndToEndDaemon(t *testing.T) {
 	if err != nil || !strings.Contains(dres.Text, "ret") {
 		t.Fatalf("disasm: %v %q", err, dres.Text)
 	}
-	sres, err := c.Call(&ipc.Request{Op: ipc.OpStats})
-	if err != nil || !strings.Contains(sres.Text, "cache:") {
-		t.Fatalf("stats: %v %q", err, sres.Text)
+	sres, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
+	if err != nil || sres.Health == nil {
+		t.Fatalf("stats: %v", err)
 	}
+	counter(t, sres.Health, "cache-hits")
 	lres, err := c.Call(&ipc.Request{Op: ipc.OpList, Path: "/bin"})
 	if err != nil || len(lres.Paths) != 1 {
 		t.Fatalf("list: %v %v", err, lres.Paths)

@@ -336,7 +336,7 @@ func TestFaultCorruptBlobQuarantineRebuild(t *testing.T) {
 	if err != nil || hresp.Health == nil {
 		t.Fatalf("health: %v", err)
 	}
-	if hresp.Health.Quarantined == 0 {
+	if counter(t, hresp.Health, "store-quarantined") == 0 {
 		t.Fatalf("health reports no quarantined blobs after corruption; health = %+v", hresp.Health)
 	}
 	// The corrupt bytes survive for autopsy.
@@ -362,7 +362,10 @@ func TestFaultHealthEndToEnd(t *testing.T) {
 		t.Fatalf("health: %v", err)
 	}
 	h := resp.Health
-	if h.Draining || h.InflightBuilds != 0 || h.Recovered != 0 {
+	if !h.Healthy() || counter(t, h, "inflight-builds") != 0 ||
+		counter(t, h, "recovered") != 0 || counter(t, h, "transport-recovered") != 0 ||
+		counter(t, h, "warm-loaded") != 0 {
 		t.Fatalf("fresh daemon health = %+v", h)
 	}
+	counter(t, h, "uptime-ms")
 }

@@ -139,18 +139,19 @@ func TestMeshFourDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sres, err := c.Call(&ipc.Request{Op: ipc.OpStats})
-	if err != nil || !strings.Contains(sres.Text, "mesh: self=") {
-		t.Fatalf("stats missing mesh line: %v\n%s", err, sres.Text)
+	sres, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
+	if err != nil || sres.Health == nil || sres.Health.MeshSelf != addrs[0] {
+		t.Fatalf("stats missing the mesh self address: %v %+v", err, sres.Health)
 	}
 	hres, err := c.Call(&ipc.Request{Op: ipc.OpHealth})
 	if err != nil || hres.Health == nil {
 		t.Fatalf("health: %v", err)
 	}
 	h := hres.Health
-	if h.MeshShards != nD || h.MeshPeers != nD-1 || h.MeshGossipRounds == 0 {
+	shards, peers, rounds := counter(t, h, "mesh-shards"), counter(t, h, "mesh-peers"), counter(t, h, "mesh-gossip-rounds")
+	if shards != nD || peers != nD-1 || rounds == 0 {
 		t.Fatalf("mesh health = shards %d peers %d gossip %d, want %d/%d/>0",
-			h.MeshShards, h.MeshPeers, h.MeshGossipRounds, nD, nD-1)
+			shards, peers, rounds, nD, nD-1)
 	}
 }
 
@@ -239,8 +240,8 @@ func TestMeshOwnerDownLocalBuild(t *testing.T) {
 	if st.MeshFetches != st.MeshFallbacks {
 		t.Fatalf("dead owner: %d fetches but %d fallbacks", st.MeshFetches, st.MeshFallbacks)
 	}
-	if up, total := nodeB.PeersUp(); total != 1 || up != 0 {
-		t.Fatalf("peers up = %d/%d, want 0/1", up, total)
+	if c := nodeB.Counters(); c.MeshPeers != 1 || c.MeshPeersUp != 0 {
+		t.Fatalf("peers up = %d/%d, want 0/1", c.MeshPeersUp, c.MeshPeers)
 	}
 }
 
@@ -560,7 +561,7 @@ func TestMeshAuthReject(t *testing.T) {
 		}
 		// Only mesh ops are gated: the same connection still serves
 		// ordinary client traffic.
-		if _, err := c.Call(&ipc.Request{Op: ipc.OpStats}); err != nil {
+		if _, err := c.Call(&ipc.Request{Op: ipc.OpHealth}); err != nil {
 			t.Fatalf("stats on unauthenticated conn: %v", err)
 		}
 		c.Close()

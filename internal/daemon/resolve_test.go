@@ -58,12 +58,12 @@ func TestHijackDefenseEndToEnd(t *testing.T) {
 	// Fault budget spent: the retry rebuilds from source and succeeds.
 	runUntilCorrect(t, c, 2)
 
-	stats := callRetry(t, c, &ipc.Request{Op: ipc.OpStats}, 2).Text
-	if !strings.Contains(stats, "pin-violations=1") {
-		t.Fatalf("violation not counted in stats:\n%s", stats)
+	stats := callRetry(t, c, &ipc.Request{Op: ipc.OpHealth}, 2).Health
+	if n := counter(t, stats, "pin-violations"); n != 1 {
+		t.Fatalf("pin-violations = %d, want 1", n)
 	}
-	if !strings.Contains(stats, "rebinds-allowed=0") {
-		t.Fatalf("a re-bind slipped through silently:\n%s", stats)
+	if n := counter(t, stats, "rebinds-allowed"); n != 0 {
+		t.Fatalf("a re-bind slipped through silently: rebinds-allowed = %d", n)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -188,21 +188,12 @@ func TestWarmRestartResolvesWithoutSearch(t *testing.T) {
 		t.Fatal("nothing evicted")
 	}
 	runUntilCorrect(t, c2, 1)
-	stats := callRetry(t, c2, &ipc.Request{Op: ipc.OpStats}, 2).Text
-	line := ""
-	for _, l := range strings.Split(stats, "\n") {
-		if strings.HasPrefix(l, "resolve:") {
-			line = l
-		}
+	stats := callRetry(t, c2, &ipc.Request{Op: ipc.OpHealth}, 2).Health
+	if n := counter(t, stats, "symbol-searches"); n != 0 {
+		t.Fatalf("warm relink searched %d symbols", n)
 	}
-	if line == "" {
-		t.Fatalf("no resolve line in stats:\n%s", stats)
-	}
-	if !strings.Contains(line, "searches=0") {
-		t.Fatalf("warm relink searched symbols: %s", line)
-	}
-	if strings.Contains(line, "hits=0 ") {
-		t.Fatalf("warm relink missed the binding cache: %s", line)
+	if counter(t, stats, "binding-hits") == 0 {
+		t.Fatal("warm relink missed the binding cache")
 	}
 	if err := sys2.Close(); err != nil {
 		t.Fatal(err)

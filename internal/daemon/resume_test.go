@@ -68,8 +68,8 @@ func TestDaemonCrashResume(t *testing.T) {
 	if err != nil || hresp.Health == nil {
 		t.Fatalf("health: %v", err)
 	}
-	if hresp.Health.NodesCheckpointed != k {
-		t.Fatalf("interrupted daemon checkpointed %d nodes, want %d", hresp.Health.NodesCheckpointed, k)
+	if n := counter(t, hresp.Health, "nodes-checkpointed"); n != k {
+		t.Fatalf("interrupted daemon checkpointed %d nodes, want %d", n, k)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -98,11 +98,11 @@ func TestDaemonCrashResume(t *testing.T) {
 		t.Fatalf("health: %v", err)
 	}
 	h2 := h2resp.Health
-	if h2.NodesResumed != k {
-		t.Fatalf("resumed daemon NodesResumed = %d, want %d", h2.NodesResumed, k)
+	if n := counter(t, h2, "nodes-resumed"); n != k {
+		t.Fatalf("resumed daemon nodes-resumed = %d, want %d", n, k)
 	}
-	if want := uint64(resumeLibCount + 1 - k); h2.NodesBuilt != want {
-		t.Fatalf("resumed daemon NodesBuilt = %d, want %d", h2.NodesBuilt, want)
+	if want, n := uint64(resumeLibCount+1-k), counter(t, h2, "nodes-built"); n != want {
+		t.Fatalf("resumed daemon nodes-built = %d, want %d", n, want)
 	}
 
 	// The graph op renders the resumed run.
@@ -115,10 +115,13 @@ func TestDaemonCrashResume(t *testing.T) {
 			t.Fatalf("graph report missing %q:\n%s", want, gresp.Text)
 		}
 	}
-	// And the stats text carries the graph counter line.
-	sresp, err := c2.Call(&ipc.Request{Op: ipc.OpStats})
-	if err != nil || !strings.Contains(sresp.Text, "graph: ") {
-		t.Fatalf("stats missing graph line (err=%v):\n%s", err, sresp.Text)
+	// And stats carries the same graph counters.
+	sresp, err := c2.Call(&ipc.Request{Op: ipc.OpHealth})
+	if err != nil || sresp.Health == nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if n := counter(t, sresp.Health, "nodes-resumed"); n != k {
+		t.Fatalf("stats nodes-resumed = %d, want %d", n, k)
 	}
 	if err := sys2.Close(); err != nil {
 		t.Fatal(err)

@@ -120,14 +120,14 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("health after soak: %v", err)
 	}
 	h := hresp.Health
-	if shed.Load() > 0 && h.Shed == 0 {
+	if shed.Load() > 0 && counter(t, h, "shed") == 0 {
 		t.Fatalf("clients saw %d sheds but health reports none", shed.Load())
 	}
-	if h.ScrubChecked == 0 {
+	if counter(t, h, "scrub-checked") == 0 {
 		t.Fatal("scrubber never ran during the soak")
 	}
-	if h.ScrubQuarantined != 0 {
-		t.Fatalf("scrubber quarantined %d healthy blobs", h.ScrubQuarantined)
+	if n := counter(t, h, "scrub-quarantined"); n != 0 {
+		t.Fatalf("scrubber quarantined %d healthy blobs", n)
 	}
 	hc.Close()
 

@@ -152,15 +152,15 @@ func TestUpgradeUnderLoad(t *testing.T) {
 	if wantExit(ctl, "/bin/ls") != lsExit || wantExit(ctl, "/bin/codegen") != cgExit {
 		t.Fatal("behaviour changed across behaviour-identical flips")
 	}
-	stats := func() string {
-		resp, err := ctl.Call(&ipc.Request{Op: ipc.OpStats})
+	stat := func(name string) uint64 {
+		resp, err := ctl.Call(&ipc.Request{Op: ipc.OpHealth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Text
+		return counter(t, resp.Health, name)
 	}
-	if st := stats(); !strings.Contains(st, "committed=6") {
-		t.Fatalf("stats after flips missing committed=6:\n%s", st)
+	if n := stat("upgrades-committed"); n != 6 {
+		t.Fatalf("upgrades-committed = %d after the flips, want 6", n)
 	}
 
 	// Binding provenance baseline for a symbol the next (broken) epoch
@@ -217,8 +217,8 @@ func TestUpgradeUnderLoad(t *testing.T) {
 	if h.UpgradeVerdict == "" {
 		t.Fatalf("no verdict after automatic rollback: %+v", h)
 	}
-	if st := stats(); !strings.Contains(st, "rolled-back=1") {
-		t.Fatalf("stats missing rolled-back=1:\n%s", st)
+	if n := stat("upgrades-rolled-back"); n != 1 {
+		t.Fatalf("upgrades-rolled-back = %d, want 1", n)
 	}
 
 	// Zero post-rollback instantiations bound to the regressed v2: the

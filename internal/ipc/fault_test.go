@@ -273,19 +273,20 @@ func TestFaultHandlerPanicRecovered(t *testing.T) {
 	if resp == nil || resp.Err == "" {
 		t.Fatalf("want error response, got %+v", resp)
 	}
-	if srv.Recovered() != 1 {
-		t.Fatalf("Recovered = %d, want 1", srv.Recovered())
+	if srv.recovered.Load() != 1 {
+		t.Fatalf("Recovered = %d, want 1", srv.recovered.Load())
 	}
 	// Same connection still works.
 	if resp, err := c.Call(&Request{Op: OpPing}); err != nil || resp.Text == "" {
 		t.Fatalf("connection dead after recovered panic: %v", err)
 	}
-	// Health reflects the recovery even on a backend without Health.
+	// Health reports the transport's recovery next to the backend's
+	// counters.
 	hresp, err := c.Call(&Request{Op: OpHealth})
 	if err != nil || hresp.Health == nil {
 		t.Fatalf("health: %v %+v", err, hresp)
 	}
-	if hresp.Health.Recovered != 1 || hresp.Health.Draining {
+	if n, _ := hresp.Health.Lookup("transport-recovered"); n != 1 || hresp.Health.Draining {
 		t.Fatalf("health = %+v", hresp.Health)
 	}
 }

@@ -52,10 +52,9 @@ const (
 	OpRun       Op = "run"        // Path, Args; integrated exec
 	OpRunBoot   Op = "run-boot"   // Path, Args; bootstrap exec
 	OpDisasm    Op = "disasm"     // Path (object); returns listing
-	OpStats     Op = "stats"      // server + memory statistics
 	OpGetMeta   Op = "get-meta"   // Path; returns blueprint source + library flag
 	OpGetObject Op = "get-object" // Path; returns encoded ROF bytes
-	OpHealth    Op = "health"     // liveness + robustness counters
+	OpHealth    Op = "health"     // daemon state + every counter (HealthInfo)
 	OpGraph     Op = "graph"      // build-graph report (runs, nodes, events)
 	OpExplain   Op = "explain"    // Path (symbol name); binding audit trail
 	// OpUpgrade drives a live-upgrade epoch; Unit selects the phase:
@@ -206,67 +205,6 @@ type MeshInfo struct {
 	// (gossip), or the responder's ring membership after processing an
 	// announce (rebalance) so the announcer can detect divergence.
 	Want []string
-}
-
-// HealthInfo is the payload of OpHealth: enough to tell a live,
-// healthy daemon from one that is limping or going away.
-type HealthInfo struct {
-	// UptimeMS is milliseconds since the daemon's backend started.
-	UptimeMS uint64
-	// InflightBuilds is the number of image builds currently running.
-	InflightBuilds int
-	// Recovered counts panics recovered (build workers + connection
-	// handlers) instead of killing the daemon.
-	Recovered uint64
-	// Quarantined counts store blobs moved aside after failing
-	// verification.
-	Quarantined uint64
-	// WarmLoaded counts instances reconstructed from the store at boot.
-	WarmLoaded uint64
-	// Draining is true once shutdown has begun: the daemon answers
-	// in-flight work but accepts nothing new.
-	Draining bool
-	// Degraded is the daemon supervisor's verdict; DegradedReason says
-	// why (queue pressure, a stuck build, a nearly full store).
-	Degraded       bool
-	DegradedReason string
-	// QueueDepth is how many requests are waiting at the admission
-	// gate; Shed counts requests the gate rejected; BuildTimeouts
-	// counts builds cancelled by the watchdog.
-	QueueDepth    int
-	Shed          uint64
-	BuildTimeouts uint64
-	// ScrubChecked/ScrubQuarantined mirror the store's background
-	// scrubber (blobs re-verified / quarantined proactively).
-	ScrubChecked     uint64
-	ScrubQuarantined uint64
-	// Build-graph counters: nodes fully linked this session, nodes
-	// served from a prior session's checkpoint, checkpoints written and
-	// their total encoded size.
-	NodesBuilt        uint64
-	NodesResumed      uint64
-	NodesCheckpointed uint64
-	CheckpointBytes   uint64
-	// Live-upgrade state: whether an epoch is open, which one, how wide
-	// its canary is, and whether a rollback is in progress (a rollback
-	// in progress makes `omos health` exit nonzero).  UpgradeVerdict
-	// carries the health gate's verdict while rolling back, or the last
-	// aborted epoch's verdict when idle.
-	UpgradeActive      bool
-	UpgradeEpoch       string
-	UpgradeCanaryPct   int
-	UpgradeRollingBack bool
-	UpgradeVerdict     string
-	// Mesh state: ring size and peer liveness, peer-fetch traffic split
-	// by how misses were served (metadata rebase vs streamed blob), and
-	// anti-entropy progress.  All zero on an unmeshed daemon.
-	MeshPeers        int
-	MeshPeersUp      int
-	MeshShards       int
-	MeshPeerFetches  uint64
-	MeshMetaRebases  uint64
-	MeshBlobFetches  uint64
-	MeshGossipRounds uint64
 }
 
 // Response is the server's reply.

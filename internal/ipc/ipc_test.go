@@ -124,7 +124,9 @@ func (f *fakeBackend) Run(name string, args []string, boot bool) (RunOutcome, er
 	return out, nil
 }
 func (f *fakeBackend) Disasm(p string) (string, error) { return "disasm of " + p, nil }
-func (f *fakeBackend) Stats() string                   { return "stats" }
+func (f *fakeBackend) Health() HealthInfo {
+	return HealthInfo{Counters: []Counter{{"objects", uint64(len(f.objects))}}}
+}
 func (f *fakeBackend) ExportMeta(p string) (string, bool, error) {
 	if bp, ok := f.defined[p]; ok {
 		return bp, false, nil
@@ -233,8 +235,10 @@ func TestFederationOps(t *testing.T) {
 	if resp, err := c.Call(&Request{Op: OpDisasm, Path: "/o"}); err != nil || resp.Text == "" {
 		t.Fatalf("disasm: %v", err)
 	}
-	if resp, err := c.Call(&Request{Op: OpStats}); err != nil || resp.Text != "stats" {
+	if resp, err := c.Call(&Request{Op: OpHealth}); err != nil || resp.Health == nil {
 		t.Fatalf("stats: %v", err)
+	} else if _, ok := resp.Health.Lookup("objects"); !ok {
+		t.Fatalf("stats lost the backend's counters: %+v", resp.Health)
 	}
 	_ = b
 }

@@ -532,7 +532,7 @@ func TestFaultPipelinedMatrix(t *testing.T) {
 				if fs.Trips(site) == 0 {
 					t.Fatalf("%s never tripped under pipelined load", site)
 				}
-				if kind == fault.KindPanic && srv.Recovered() == 0 {
+				if kind == fault.KindPanic && srv.recovered.Load() == 0 {
 					t.Fatal("injected panics were not recovered")
 				}
 				// The server is still healthy for a fresh client.

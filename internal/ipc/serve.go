@@ -31,18 +31,13 @@ type Backend interface {
 	Remove(path string)
 	Run(name string, args []string, bootstrap bool) (RunOutcome, error)
 	Disasm(path string) (string, error)
-	Stats() string
+	// Health reports the daemon's state and counters (OpHealth); the
+	// transport adds Draining and its own counters.
+	Health() HealthInfo
 	// ExportMeta and ExportObject serve namespace federation (another
 	// OMOS server mounting this one, §10).
 	ExportMeta(path string) (src string, isLibrary bool, err error)
 	ExportObject(path string) ([]byte, error)
-}
-
-// HealthBackend is optionally implemented by backends that can report
-// robustness counters; OpHealth works (with transport-level fields
-// only) even when the backend cannot.
-type HealthBackend interface {
-	Health() HealthInfo
 }
 
 // GraphBackend is optionally implemented by backends that can render
@@ -151,6 +146,9 @@ type Server struct {
 	inflight sync.WaitGroup
 	connWG   sync.WaitGroup
 
+	// recovered counts panics recovered in connection handlers (each
+	// failed one request, never the daemon): transport-recovered in
+	// the health report.
 	recovered atomic.Uint64
 	faults    *fault.Set
 }
@@ -163,10 +161,6 @@ func NewServer(b Backend) *Server {
 // SetFaults arms deterministic fault injection on the transport
 // (sites ipc.read and ipc.write).  Call before Serve.
 func (s *Server) SetFaults(f *fault.Set) { s.faults = f }
-
-// Recovered returns the number of panics recovered in connection
-// handlers (each failed one request, never the daemon).
-func (s *Server) Recovered() uint64 { return s.recovered.Load() }
 
 // Draining reports whether shutdown has begun.
 func (s *Server) Draining() bool {
@@ -398,8 +392,6 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 			return fail(err)
 		}
 		resp.Text = text
-	case OpStats:
-		resp.Text = b.Stats()
 	case OpGetMeta:
 		src, isLib, err := b.ExportMeta(req.Path)
 		if err != nil {
@@ -414,12 +406,9 @@ func (s *Server) handle(req *Request, authed bool) *Response {
 		}
 		resp.Blob = blob
 	case OpHealth:
-		var hi HealthInfo
-		if hb, ok := b.(HealthBackend); ok {
-			hi = hb.Health()
-		}
-		hi.Recovered += s.recovered.Load()
+		hi := b.Health()
 		hi.Draining = s.Draining()
+		hi.Counters = append(hi.Counters, Counter{"transport-recovered", s.recovered.Load()})
 		resp.Health = &hi
 	case OpGraph:
 		gb, ok := b.(GraphBackend)

@@ -156,8 +156,7 @@ type Node struct {
 
 	served       atomic.Uint64 // inbound fetches served (found)
 	gossipRounds atomic.Uint64
-	gossipPushed atomic.Uint64
-	rebalPushed  atomic.Uint64
+	pushed       atomic.Uint64 // records pushed by gossip and rebalance
 
 	loopWG   sync.WaitGroup
 	stop     chan struct{}
@@ -783,7 +782,7 @@ func (n *Node) Rebalance() (moved int, err error) {
 		}
 		if n.pushRecord(p, ckey, blob) {
 			moved++
-			n.rebalPushed.Add(1)
+			n.pushed.Add(1)
 			n.dropHold(ckey)
 		}
 	}
@@ -936,7 +935,7 @@ func (n *Node) GossipTick() (pushed int, err error) {
 			}
 			if n.pushRecord(p, want, blob) {
 				pushed++
-				n.gossipPushed.Add(1)
+				n.pushed.Add(1)
 			}
 		}
 	}
@@ -1012,43 +1011,32 @@ func (n *Node) MountPeer(prefix, addr string) error {
 	return n.srv.Mount(prefix, peerFetcher{c: c})
 }
 
-// PeersUp counts peers whose last contact succeeded.
-func (n *Node) PeersUp() (up, total int) {
+// Counters are a node's own counters; the traffic its hook causes is
+// counted in server.Stats (the Mesh* fields).
+type Counters struct {
+	// MeshShards is the ring size, MeshPeers and MeshPeersUp the known
+	// peers and those whose last contact succeeded.
+	MeshShards, MeshPeers, MeshPeersUp int
+	// MeshServed counts inbound peer fetches answered with content,
+	// MeshGossipRounds completed anti-entropy rounds, and MeshPushed
+	// records pushed to peers by gossip and rebalance.
+	MeshServed, MeshGossipRounds, MeshPushed uint64
+}
+
+// Counters snapshots the node's counters.
+func (n *Node) Counters() Counters {
 	peers := n.peerList()
+	c := Counters{
+		MeshShards:       len(n.Members()),
+		MeshPeers:        len(peers),
+		MeshServed:       n.served.Load(),
+		MeshGossipRounds: n.gossipRounds.Load(),
+		MeshPushed:       n.pushed.Load(),
+	}
 	for _, p := range peers {
 		if p.up.Load() {
-			up++
+			c.MeshPeersUp++
 		}
 	}
-	return up, len(peers)
-}
-
-// GossipRounds reports completed anti-entropy rounds.
-func (n *Node) GossipRounds() uint64 { return n.gossipRounds.Load() }
-
-// Served reports inbound peer fetches answered with content.
-func (n *Node) Served() uint64 { return n.served.Load() }
-
-// Health fills the mesh fields of a health report.
-func (n *Node) Health(hi *ipc.HealthInfo) {
-	up, total := n.PeersUp()
-	hi.MeshPeers = total
-	hi.MeshPeersUp = up
-	hi.MeshShards = len(n.Members())
-	st := n.srv.Stats()
-	hi.MeshPeerFetches = st.MeshFetches
-	hi.MeshMetaRebases = st.MeshMetaRebases
-	hi.MeshBlobFetches = st.MeshBlobInstalls
-	hi.MeshGossipRounds = n.gossipRounds.Load()
-}
-
-// StatsLine renders the mesh line of `omos stats`.
-func (n *Node) StatsLine() string {
-	st := n.srv.Stats()
-	up, total := n.PeersUp()
-	return fmt.Sprintf(
-		"mesh: self=%s shards=%d peers-up=%d/%d fetches=%d meta-rebases=%d blob-installs=%d fallbacks=%d served=%d gossip-rounds=%d pushed=%d",
-		n.cfg.Self, len(n.Members()), up, total,
-		st.MeshFetches, st.MeshMetaRebases, st.MeshBlobInstalls, st.MeshFallbacks,
-		n.served.Load(), n.gossipRounds.Load(), n.gossipPushed.Load()+n.rebalPushed.Load())
+	return c
 }

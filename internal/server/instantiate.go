@@ -70,7 +70,7 @@ func (s *Server) InstantiateCtx(ctx context.Context, name string, p *osim.Proces
 	if cohort {
 		ctx = withCanary(ctx)
 		c = evalCtx{s: s, v2: true}
-		s.stats.canaryInstantiations.Add(1)
+		s.stats.CanaryInstantiations.Add(1)
 		if m2, err2 := c.LookupMeta(name); err2 == nil && m2 != nil {
 			meta = m2
 		}
@@ -251,7 +251,7 @@ func (s *Server) instantiateLibrary(ctx context.Context, dep mgraph.LibDep, c ch
 		if inst, ok := s.tryRebase(node, key, ckey, bkey, dep.Path, pl.TextBase, pl.DataBase, libs, pr, c); ok {
 			return inst, nil
 		}
-		s.stats.rebaseMiss.Add(1)
+		s.stats.RebaseMiss.Add(1)
 		if canaryFrom(ctx) {
 			if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
 				return nil, fmt.Errorf("server: canary build of library %s: %w", dep.Path, err)
@@ -336,7 +336,7 @@ func (s *Server) instantiateProgram(ctx context.Context, name string, meta *mgra
 		if inst, ok := s.tryRebase(node, key, ckey, bkey, name, pl.TextBase, pl.DataBase, libs, pr, c); ok {
 			return inst, nil
 		}
-		s.stats.rebaseMiss.Add(1)
+		s.stats.RebaseMiss.Add(1)
 		if canaryFrom(ctx) {
 			if err := s.faults.Fire(fault.SiteUpgradeCanary); err != nil {
 				return nil, fmt.Errorf("server: canary build of %s: %w", name, err)
@@ -416,12 +416,12 @@ func (s *Server) materialize(key, ckey, bindKey, name string, res *link.Result, 
 	if c != nil {
 		c.ChargeServer(cost)
 	}
-	s.stats.cacheMisses.Add(1)
-	s.stats.imagesBuilt.Add(1)
-	s.stats.builtBytes.Add(res.TextSize + res.DataSize + res.BSSSize)
-	s.stats.relocsApplied.Add(uint64(res.NumRelocs))
-	s.stats.externBinds.Add(uint64(res.ExternBinds))
-	s.stats.buildCycles.Add(cost)
+	s.stats.CacheMisses.Add(1)
+	s.stats.ImagesBuilt.Add(1)
+	s.stats.BuiltBytes.Add(res.TextSize + res.DataSize + res.BSSSize)
+	s.stats.RelocsApplied.Add(uint64(res.NumRelocs))
+	s.stats.ExternBinds.Add(uint64(res.ExternBinds))
+	s.stats.BuildCycles.Add(cost)
 	return s.cacheInstance(inst), nil
 }
 

@@ -170,10 +170,10 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 		return nil, false
 	}
 	have := s.HasVariant(ckey)
-	s.stats.meshFetches.Add(1)
+	s.stats.MeshFetches.Add(1)
 	reply, err := h.FetchContent(ckey, textBase, dataBase, have)
 	if err != nil || reply == nil || !reply.Found {
-		s.stats.meshFallbacks.Add(1)
+		s.stats.MeshFallbacks.Add(1)
 		return nil, false
 	}
 	if reply.MetaOnly {
@@ -182,7 +182,7 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 		// slide it locally via the rebase fast path.
 		if s.variantMatches(ckey, reply.Meta) {
 			if inst, ok := s.tryRebase(node, key, ckey, bkey, name, textBase, dataBase, libs, pr, c); ok {
-				s.stats.meshMetaRebases.Add(1)
+				s.stats.MeshMetaRebases.Add(1)
 				return inst, true
 			}
 		}
@@ -190,16 +190,16 @@ func (s *Server) tryMeshFetch(node *buildgraph.Node, key, ckey, bkey, name strin
 		// bytes instead.
 		reply, err = h.FetchContent(ckey, textBase, dataBase, false)
 		if err != nil || reply == nil || !reply.Found || reply.MetaOnly {
-			s.stats.meshFallbacks.Add(1)
+			s.stats.MeshFallbacks.Add(1)
 			return nil, false
 		}
 	}
 	inst, err := s.installFetched(node, key, ckey, bkey, name, textBase, dataBase, libs, pr, c, reply.Blob)
 	if err != nil {
-		s.stats.meshFallbacks.Add(1)
+		s.stats.MeshFallbacks.Add(1)
 		return nil, false
 	}
-	s.stats.meshBlobInstalls.Add(1)
+	s.stats.MeshBlobInstalls.Add(1)
 	return inst, true
 }
 
@@ -249,8 +249,8 @@ func (s *Server) installFetched(node *buildgraph.Node, key, ckey, bkey, name str
 	if c != nil {
 		c.ChargeServer(cost)
 	}
-	s.stats.cacheMisses.Add(1)
-	s.stats.buildCycles.Add(cost)
+	s.stats.CacheMisses.Add(1)
+	s.stats.BuildCycles.Add(cost)
 	inst = s.cacheInstance(inst)
 	inst.place = pr
 	s.checkpointInstance(node, inst)

@@ -175,7 +175,7 @@ func (s *Server) buildDep(ctx context.Context, dep mgraph.LibDep, c charger) (in
 	node := buildgraph.NodeFrom(ctx).Child(dep.Path, kind)
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
+			s.stats.Recovered.Add(1)
 			inst = nil
 			err = fmt.Errorf("server: building %s: recovered panic: %v", dep.Path, r)
 		}

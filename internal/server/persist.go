@@ -34,7 +34,7 @@ func (s *Server) AttachStore(st *store.Store) int {
 	s.cacheMu.Lock()
 	s.store = st
 	s.cacheMu.Unlock()
-	before := s.stats.warmLoaded.Load()
+	before := s.stats.WarmLoaded.Load()
 	// Oldest-first so reconstruction preserves the persisted LRU
 	// order in the in-memory recency tracking.  Warm loading is
 	// best-effort: a panic reconstructing one entry (a decoder bug, an
@@ -48,13 +48,13 @@ func (s *Server) AttachStore(st *store.Store) int {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					s.stats.recovered.Add(1)
+					s.stats.Recovered.Add(1)
 				}
 			}()
 			s.loadFromStore(key, map[string]bool{})
 		}()
 	}
-	n := int(s.stats.warmLoaded.Load() - before)
+	n := int(s.stats.WarmLoaded.Load() - before)
 	// A daemon killed mid-upgrade left its epoch record behind: redo a
 	// durable commit intent, roll back anything earlier — either way
 	// the namespace boots consistent, never torn.
@@ -115,7 +115,7 @@ func (s *Server) checkpointInstance(node *buildgraph.Node, inst *Instance) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
+			s.stats.Recovered.Add(1)
 			s.graph.Checkpointed(node, 0, fmt.Errorf("recovered panic: %v", r))
 		}
 	}()
@@ -177,7 +177,7 @@ func blobChecksum(blob []byte) string {
 
 // recordOf serializes an instance's reconstruction state: segment
 // bytes, bound symbols, branch-table slots, placement, library keys,
-// and (v3) the resolution state — the binding table recorded for the
+// and the resolution state — the binding table recorded for the
 // image and the library pins to re-verify at warm load.
 func (s *Server) recordOf(inst *Instance) *store.Record {
 	rec := &store.Record{
@@ -376,7 +376,7 @@ func (s *Server) loadFromStore(key string, visiting map[string]bool) *Instance {
 	}
 	s.cacheMu.Unlock()
 	s.touch(key, inst, st)
-	s.stats.warmLoaded.Add(1)
+	s.stats.WarmLoaded.Add(1)
 	s.kern.ChargeTotalServer(uint64(len(blob)) * s.kern.Cost.StoreLoadPerByte)
 	return inst
 }
@@ -426,8 +426,8 @@ func (s *Server) instanceFromRecord(rec *store.Record, libs []*Instance) (*Insta
 }
 
 // resultFromRecord rebuilds the link.Result a record was persisted
-// from: the bound symbol table, the accounting, and — for v2 records
-// (ContentKey set) — the full rebase metadata, so the result can serve
+// from: the bound symbol table, the accounting, and — for records with
+// a ContentKey — the full rebase metadata, so the result can serve
 // as a link.Rebase source.  Shared between warm restore and the mesh
 // blob-install path, which decodes a peer's record instead of a store
 // entry.
@@ -458,9 +458,10 @@ func resultFromRecord(rec *store.Record) *link.Result {
 			res.SymKinds[sym.Name] = obj.SymKind(sym.Kind)
 		}
 	}
-	// A v2 record carries the rebase metadata; reconstruct everything
-	// link.Rebase needs (segment bytes, symbol segment classes, patch
-	// sites) so the warm-loaded instance can serve as a rebase source.
+	// A record with a content key carries the rebase metadata;
+	// reconstruct everything link.Rebase needs (segment bytes, symbol
+	// segment classes, patch sites) so the warm-loaded instance can
+	// serve as a rebase source.
 	if rec.ContentKey != "" {
 		res.SymSegs = make(map[string]byte, len(rec.Syms))
 		for _, sym := range rec.Syms {

@@ -41,8 +41,8 @@ func contentKeyProg(subHash string, libs []*Instance) string {
 
 // rebaseSource reports whether a cached instance carries everything
 // link.Rebase needs: segment bytes and the per-symbol segment classes
-// recorded at link time.  Warm-loaded instances from v1 store records
-// lack the metadata and are skipped.
+// recorded at link time.  Instances without a content key (branch-table
+// libraries) lack the metadata and are skipped.
 func rebaseSource(src *Instance) bool {
 	r := src.Res
 	return r != nil && r.Image != nil && len(r.Image.Segments) > 0 && r.SymSegs != nil
@@ -122,12 +122,12 @@ func (s *Server) materializeRebased(key, ckey, bindKey, name string, res *link.R
 	if c != nil {
 		c.ChargeServer(cost)
 	}
-	s.stats.cacheMisses.Add(1)
-	s.stats.rebases.Add(1)
-	s.stats.rebasePatches.Add(uint64(info.Patches))
-	s.stats.rebaseDirtyPages.Add(uint64(info.TextDirtyPages + info.DataDirtyPages))
-	s.stats.rebaseSharedPages.Add(uint64(shared))
-	s.stats.buildCycles.Add(cost)
+	s.stats.CacheMisses.Add(1)
+	s.stats.Rebases.Add(1)
+	s.stats.RebasePatches.Add(uint64(info.Patches))
+	s.stats.RebaseDirtyPages.Add(uint64(info.TextDirtyPages + info.DataDirtyPages))
+	s.stats.RebaseSharedPages.Add(uint64(shared))
+	s.stats.BuildCycles.Add(cost)
 	return s.cacheInstance(inst), nil
 }
 

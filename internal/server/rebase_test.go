@@ -152,7 +152,7 @@ int main() { return libpad_get() + 7; }
 }
 
 // TestWarmRestartRebase checks that a restarted daemon can slide
-// images it only knows from the persistent store: the v2 records
+// images it only knows from the persistent store: the store records
 // carry the patch-site metadata, so a new placement of warm-loaded
 // content costs a rebase, not a relink.
 func TestWarmRestartRebase(t *testing.T) {

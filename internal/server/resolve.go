@@ -22,7 +22,7 @@ import (
 // rebuild of an unchanged program — after eviction, a placement
 // change, or a warm restart — replays the recorded bindings with
 // direct definer lookups instead of searching the library list.
-// Tables persist through the store codec (v3), so a warm-restarted
+// Tables persist through the store codec, so a warm-restarted
 // daemon resolves with zero symbol searches.
 //
 // The same tables make resolution *enforceable*:
@@ -160,20 +160,20 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
-			s.stats.bindingMisses.Add(1)
+			s.stats.Recovered.Add(1)
+			s.stats.BindingMisses.Add(1)
 			ext, ok = nil, false
 		}
 	}()
 	if err := s.faults.Fire(fault.SiteResolveCache); err != nil {
-		s.stats.bindingMisses.Add(1)
+		s.stats.BindingMisses.Add(1)
 		return nil, false
 	}
 	s.bindMu.RLock()
 	tbl := s.bindings[bindKey]
 	s.bindMu.RUnlock()
 	if tbl == nil {
-		s.stats.bindingMisses.Add(1)
+		s.stats.BindingMisses.Add(1)
 		return nil, false
 	}
 	ext, ok = tbl.replay(und, libs)
@@ -181,7 +181,7 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 		// The table no longer describes this resolution — a library's
 		// content (and therefore possibly its exports) changed since it
 		// was recorded.  Drop it; the search below records a fresh one.
-		s.stats.bindingInvalidations.Add(1)
+		s.stats.BindingInvalidations.Add(1)
 		s.bindMu.Lock()
 		if s.bindings[bindKey] == tbl {
 			delete(s.bindings, bindKey)
@@ -198,7 +198,7 @@ func (s *Server) cachedExterns(bindKey string, und []string, libs []*Instance, c
 	if c != nil && len(ext) > 0 {
 		c.ChargeServer(uint64(len(ext)) * s.kern.Cost.ServerBindingBind)
 	}
-	s.stats.bindingHits.Add(1)
+	s.stats.BindingHits.Add(1)
 	return ext, true
 }
 
@@ -259,7 +259,7 @@ func (s *Server) searchExterns(name, bindKey string, und []string, libs []*Insta
 			}
 		}
 	}
-	s.stats.symbolSearches.Add(uint64(len(und)))
+	s.stats.SymbolSearches.Add(uint64(len(und)))
 	if c != nil && probes > 0 {
 		c.ChargeServer(uint64(probes) * s.kern.Cost.ServerSymbolSearch)
 	}
@@ -339,7 +339,7 @@ func (s *Server) verifyPins(inst *Instance) error {
 		return nil
 	}
 	violation := func(lib, field, want, got string) error {
-		s.stats.pinViolations.Add(1)
+		s.stats.PinViolations.Add(1)
 		return &PinViolationError{Image: inst.Name, Lib: lib, Field: field, Want: want, Got: got}
 	}
 	if err := s.faults.Fire(fault.SiteNamespaceHijack); err != nil {
@@ -434,10 +434,10 @@ func (s *Server) guardRebind(mutation, p string, allow bool) error {
 		return nil
 	}
 	if !allow {
-		s.stats.rebindsBlocked.Add(1)
+		s.stats.RebindsBlocked.Add(1)
 		return re
 	}
-	s.stats.rebindsAllowed.Add(1)
+	s.stats.RebindsAllowed.Add(1)
 	return nil
 }
 

@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"path"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -189,110 +190,87 @@ type Stats struct {
 	MeshFallbacks    uint64
 }
 
-// statsCounters are the live counters behind the Stats snapshot.
+// statsCounters are the live counters behind the Stats snapshot that
+// the server keeps itself, each named as its Stats field.
 type statsCounters struct {
-	cacheHits     atomic.Uint64
-	cacheMisses   atomic.Uint64
-	imagesBuilt   atomic.Uint64
-	relocsApplied atomic.Uint64
-	externBinds   atomic.Uint64
-	buildCycles   atomic.Uint64
-	warmLoaded    atomic.Uint64
-	recovered     atomic.Uint64
-	buildTimeouts atomic.Uint64
+	CacheHits     atomic.Uint64
+	CacheMisses   atomic.Uint64
+	ImagesBuilt   atomic.Uint64
+	RelocsApplied atomic.Uint64
+	ExternBinds   atomic.Uint64
+	BuildCycles   atomic.Uint64
+	WarmLoaded    atomic.Uint64
+	Recovered     atomic.Uint64
+	BuildTimeouts atomic.Uint64
 
-	rebases           atomic.Uint64
-	rebaseMiss        atomic.Uint64
-	rebasePatches     atomic.Uint64
-	rebaseDirtyPages  atomic.Uint64
-	rebaseSharedPages atomic.Uint64
+	Rebases           atomic.Uint64
+	RebaseMiss        atomic.Uint64
+	RebasePatches     atomic.Uint64
+	RebaseDirtyPages  atomic.Uint64
+	RebaseSharedPages atomic.Uint64
 
-	symbolSearches       atomic.Uint64
-	bindingHits          atomic.Uint64
-	bindingMisses        atomic.Uint64
-	bindingInvalidations atomic.Uint64
-	pinViolations        atomic.Uint64
-	rebindsBlocked       atomic.Uint64
-	rebindsAllowed       atomic.Uint64
+	SymbolSearches       atomic.Uint64
+	BindingHits          atomic.Uint64
+	BindingMisses        atomic.Uint64
+	BindingInvalidations atomic.Uint64
+	PinViolations        atomic.Uint64
+	RebindsBlocked       atomic.Uint64
+	RebindsAllowed       atomic.Uint64
 
-	upgradesStarted      atomic.Uint64
-	upgradesCommitted    atomic.Uint64
-	upgradesRolledBack   atomic.Uint64
-	canaryInstantiations atomic.Uint64
-	optionalStubsServed  atomic.Uint64
+	UpgradesStarted      atomic.Uint64
+	UpgradesCommitted    atomic.Uint64
+	UpgradesRolledBack   atomic.Uint64
+	CanaryInstantiations atomic.Uint64
+	OptionalStubsServed  atomic.Uint64
 
-	builtBytes       atomic.Uint64
-	meshFetches      atomic.Uint64
-	meshMetaRebases  atomic.Uint64
-	meshBlobInstalls atomic.Uint64
-	meshFallbacks    atomic.Uint64
+	BuiltBytes       atomic.Uint64
+	MeshFetches      atomic.Uint64
+	MeshMetaRebases  atomic.Uint64
+	MeshBlobInstalls atomic.Uint64
+	MeshFallbacks    atomic.Uint64
 }
 
 // Stats returns a consistent-enough snapshot of the activity counters.
 // Safe to call at any time, including while builds are in flight.
 func (s *Server) Stats() Stats {
-	st := Stats{
-		CacheHits:     s.stats.cacheHits.Load(),
-		CacheMisses:   s.stats.cacheMisses.Load(),
-		ImagesBuilt:   s.stats.imagesBuilt.Load(),
-		RelocsApplied: s.stats.relocsApplied.Load(),
-		ExternBinds:   s.stats.externBinds.Load(),
-		BuildCycles:   s.stats.buildCycles.Load(),
-		WarmLoaded:    s.stats.warmLoaded.Load(),
-		Recovered:     s.stats.recovered.Load(),
-		BuildTimeouts: s.stats.buildTimeouts.Load(),
-		Shed:          s.admit.Shed(),
-
-		Rebases:           s.stats.rebases.Load(),
-		RebaseMiss:        s.stats.rebaseMiss.Load(),
-		RebasePatches:     s.stats.rebasePatches.Load(),
-		RebaseDirtyPages:  s.stats.rebaseDirtyPages.Load(),
-		RebaseSharedPages: s.stats.rebaseSharedPages.Load(),
-
-		SymbolSearches:       s.stats.symbolSearches.Load(),
-		BindingHits:          s.stats.bindingHits.Load(),
-		BindingMisses:        s.stats.bindingMisses.Load(),
-		BindingInvalidations: s.stats.bindingInvalidations.Load(),
-		PinViolations:        s.stats.pinViolations.Load(),
-		RebindsBlocked:       s.stats.rebindsBlocked.Load(),
-		RebindsAllowed:       s.stats.rebindsAllowed.Load(),
-
-		UpgradesStarted:      s.stats.upgradesStarted.Load(),
-		UpgradesCommitted:    s.stats.upgradesCommitted.Load(),
-		UpgradesRolledBack:   s.stats.upgradesRolledBack.Load(),
-		CanaryInstantiations: s.stats.canaryInstantiations.Load(),
-		OptionalStubsServed:  s.stats.optionalStubsServed.Load(),
-
-		BuiltBytes:       s.stats.builtBytes.Load(),
-		MeshFetches:      s.stats.meshFetches.Load(),
-		MeshMetaRebases:  s.stats.meshMetaRebases.Load(),
-		MeshBlobInstalls: s.stats.meshBlobInstalls.Load(),
-		MeshFallbacks:    s.stats.meshFallbacks.Load(),
-	}
+	var st Stats
+	copyCounters(&st, &s.stats)
 	gc := s.graph.Counters()
-	st.NodesBuilt = gc.NodesBuilt
-	st.NodesCached = gc.NodesCached
-	st.NodesResumed = gc.NodesResumed
-	st.NodesFailed = gc.NodesFailed
-	st.NodesCheckpointed = gc.NodesCheckpointed
-	st.CheckpointsFailed = gc.CheckpointsFailed
-	st.CheckpointBytes = gc.CheckpointBytes
+	copyCounters(&st, &gc)
+	st.Shed = s.admit.Shed()
 	s.cacheMu.RLock()
 	stor := s.store
 	s.cacheMu.RUnlock()
 	if stor != nil {
 		sst := stor.Stats()
+		copyCounters(&st, &sst) // the Scrub* counters share their names
 		st.StoreLoads = sst.Loads
 		st.StoreStores = sst.Stores
 		st.StoreEvictions = sst.Evictions
 		st.StoreCorrupt = sst.CorruptRejects
 		st.StoreQuarantined = sst.Quarantined
 		st.StoreBytes = sst.Bytes
-		st.ScrubChecked = sst.ScrubChecked
-		st.ScrubQuarantined = sst.ScrubQuarantined
-		st.ScrubOrphans = sst.ScrubOrphans
 	}
 	return st
+}
+
+// copyCounters sets each Stats field from the same-named field of the
+// struct *src: an atomic.Uint64 (which must have a Stats field) or a
+// uint64 (skipped when Stats has none, like buildgraph's NodesRebased
+// or the store's Loads).
+func copyCounters(st *Stats, src any) {
+	dst, v := reflect.ValueOf(st).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := dst.FieldByName(v.Type().Field(i).Name)
+		switch c := v.Field(i).Addr().Interface().(type) {
+		case *atomic.Uint64:
+			f.SetUint(c.Load())
+		case *uint64:
+			if f.IsValid() {
+				f.SetUint(*c)
+			}
+		}
+	}
 }
 
 // InflightBuilds reports how many image builds are currently in
@@ -322,7 +300,7 @@ type Instance struct {
 	// addresses.  Instances sharing a ContentKey are placement variants
 	// of the same bytes, and any of them can be slid to a new base by
 	// the rebase fast path.  Empty when the instance cannot serve as a
-	// rebase source (branch-table libraries, v1 store records).
+	// rebase source (branch-table libraries).
 	ContentKey string
 	Res        *link.Result
 	ROSegs     []*osim.FrameSeg
@@ -782,7 +760,7 @@ func (c evalCtx) OptionalAvailable(p string) bool {
 
 // RecordOptionalStub implements mgraph.StubRecorder.
 func (c evalCtx) RecordOptionalStub(p string) {
-	c.s.stats.optionalStubsServed.Add(1)
+	c.s.stats.OptionalStubsServed.Add(1)
 }
 
 // LookupObject implements mgraph.Context.

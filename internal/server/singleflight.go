@@ -72,7 +72,7 @@ func (s *Server) buildShared(ctx context.Context, key string, build func() (*Ins
 		st := s.store
 		s.cacheMu.RUnlock()
 		if inst != nil {
-			s.stats.cacheHits.Add(1)
+			s.stats.CacheHits.Add(1)
 			s.touch(key, inst, st)
 			return inst, nil
 		}
@@ -84,7 +84,7 @@ func (s *Server) buildShared(ctx context.Context, key string, build func() (*Ins
 		if inst := s.cache[key]; inst != nil {
 			st := s.store
 			s.cacheMu.Unlock()
-			s.stats.cacheHits.Add(1)
+			s.stats.CacheHits.Add(1)
 			s.touch(key, inst, st)
 			return inst, nil
 		}
@@ -136,7 +136,7 @@ func (s *Server) buildShared(ctx context.Context, key string, build func() (*Ins
 func (s *Server) runBuild(key string, build func() (*Instance, error)) (inst *Instance, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
+			s.stats.Recovered.Add(1)
 			inst = nil
 			err = fmt.Errorf("server: build %s: recovered panic: %v", key, r)
 		}

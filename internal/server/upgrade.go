@@ -25,7 +25,7 @@ import (
 // are discarded, the pre-epoch binding tables are restored, the
 // cohort's images are released, and a typed *UpgradeAbortedError
 // carries the verdict.  Commit is write-ahead: the intent is made
-// durable in the store (codec v4) before the staged definitions are
+// durable in the store (an epoch record) before the staged definitions are
 // applied, so a daemon killed mid-commit warm-restarts into either the
 // fully-committed or the fully-rolled-back namespace — never a torn
 // one.
@@ -261,14 +261,14 @@ func (s *Server) UpgradeStart(canaryPct int) (string, error) {
 		cohortProgs:   map[string]bool{},
 		savedBindings: saved,
 		baseline:      s.baseFailEWMA,
-		basePinViol:   s.stats.pinViolations.Load(),
+		basePinViol:   s.stats.PinViolations.Load(),
 		baseQuar:      quar,
 	}
 	s.epoch = ep
 	s.lastAborted.Store(nil)
 	s.auditLocked(ep, fmt.Sprintf("epoch %s opened (canary %d%%)", ep.id, canaryPct))
 	s.upMu.Unlock()
-	s.stats.upgradesStarted.Add(1)
+	s.stats.UpgradesStarted.Add(1)
 	s.invalidateHashes()
 	if err := s.persistEpoch(store.EpochActive); err != nil {
 		return ep.id, fmt.Errorf("server: upgrade %s: persisting epoch: %w", ep.id, err)
@@ -353,7 +353,7 @@ func (s *Server) UpgradeCommit() (err error) {
 	// simply retried.
 	defer func() {
 		if r := recover(); r != nil {
-			s.stats.recovered.Add(1)
+			s.stats.Recovered.Add(1)
 			err = fmt.Errorf("server: upgrade commit %s: recovered panic: %v", ep.id, r)
 		}
 	}()
@@ -380,7 +380,7 @@ func (s *Server) UpgradeCommit() (err error) {
 	s.upMu.Unlock()
 	s.deleteEpochRecord()
 	s.invalidateHashes()
-	s.stats.upgradesCommitted.Add(1)
+	s.stats.UpgradesCommitted.Add(1)
 	return nil
 }
 
@@ -448,7 +448,7 @@ func (s *Server) rollbackEpoch(ep *upgradeEpoch, verdict string, auto bool) erro
 	s.upMu.Unlock()
 	s.deleteEpochRecord()
 	s.invalidateHashes()
-	s.stats.upgradesRolledBack.Add(1)
+	s.stats.UpgradesRolledBack.Add(1)
 	s.lastAborted.Store(&UpgradeAbortedError{Epoch: ep.id, Verdict: verdict, Auto: auto})
 	return nil
 }
@@ -500,7 +500,7 @@ func (s *Server) observeInstantiation(cohort bool, err error) {
 	safeRollback := func(ep *upgradeEpoch, verdict string) {
 		defer func() {
 			if r := recover(); r != nil {
-				s.stats.recovered.Add(1)
+				s.stats.Recovered.Add(1)
 			}
 		}()
 		s.rollbackEpoch(ep, verdict, true)
@@ -545,7 +545,7 @@ func (s *Server) observeInstantiation(cohort bool, err error) {
 // gateVerdictLocked evaluates the health gate ("" = healthy).  Caller
 // holds upMu.
 func (s *Server) gateVerdictLocked(ep *upgradeEpoch, quar uint64) string {
-	if pv := s.stats.pinViolations.Load(); pv > ep.basePinViol {
+	if pv := s.stats.PinViolations.Load(); pv > ep.basePinViol {
 		return fmt.Sprintf("pin violations rose %d -> %d during the epoch", ep.basePinViol, pv)
 	}
 	if quar > ep.baseQuar {
@@ -560,7 +560,7 @@ func (s *Server) gateVerdictLocked(ep *upgradeEpoch, quar uint64) string {
 
 // ---- persistence & recovery ----
 
-// persistEpoch writes the epoch's durable record (codec v4).  A
+// persistEpoch writes the epoch's durable record.  A
 // server without a store runs upgrades memory-only: still atomic
 // in-process, just not crash-durable.
 func (s *Server) persistEpoch(state uint8) error {
@@ -644,7 +644,7 @@ func (s *Server) recoverEpoch(st *store.Store) {
 			s.nsMu.Unlock()
 			s.invalidateHashes()
 			st.Delete(epochStoreKey)
-			s.stats.upgradesCommitted.Add(1)
+			s.stats.UpgradesCommitted.Add(1)
 			s.upMu.Lock()
 			s.auditLocked(&upgradeEpoch{id: rec.ID, libs: epochLibsOf(rec)},
 				fmt.Sprintf("epoch %s commit completed at warm boot (%d path(s))", rec.ID, len(rec.Libs)))
@@ -653,7 +653,7 @@ func (s *Server) recoverEpoch(st *store.Store) {
 		}
 	}
 	st.Delete(epochStoreKey)
-	s.stats.upgradesRolledBack.Add(1)
+	s.stats.UpgradesRolledBack.Add(1)
 	s.lastAborted.Store(&UpgradeAbortedError{
 		Epoch:   rec.ID,
 		Verdict: "epoch interrupted by restart; rolled back at warm boot",
@@ -723,31 +723,20 @@ func (s *Server) UpgradeAudit() []string {
 	return out
 }
 
-// upgradeLine renders the one-line status omosd stats and OpHealth
-// carry.
-func upgradeLine(st UpgradeStatusInfo, started, committed, rolledBack, canary, stubs uint64) string {
-	state := "idle"
+// UpgradeStatusLine is the one-line engine state behind `omos
+// upgrade status`: the open epoch with its cohort health, or idle.
+// The upgrade counters are in Stats.
+func (s *Server) UpgradeStatusLine() string {
+	st := s.UpgradeStatus()
 	switch {
 	case st.Active && st.RollingBack:
-		state = fmt.Sprintf("epoch=%s rolling-back verdict=%q", st.Epoch, st.Verdict)
+		return fmt.Sprintf("upgrade: epoch=%s rolling-back verdict=%q", st.Epoch, st.Verdict)
 	case st.Active:
-		state = fmt.Sprintf("epoch=%s canary=%d%% cohort=%d/%d ewma=%.2f baseline=%.2f libs=%s",
+		return fmt.Sprintf("upgrade: epoch=%s canary=%d%% cohort=%d/%d ewma=%.2f baseline=%.2f libs=%s",
 			st.Epoch, st.CanaryPct, st.CohortFails, st.CohortRuns,
 			st.CohortEWMA, st.Baseline, strings.Join(st.Libs, ","))
 	case st.LastAborted != "":
-		state = fmt.Sprintf("idle last-aborted=%q", st.LastAborted)
+		return fmt.Sprintf("upgrade: idle last-aborted=%q", st.LastAborted)
 	}
-	return fmt.Sprintf("upgrade: %s started=%d committed=%d rolled-back=%d canary-instantiations=%d optional-stubs=%d",
-		state, started, committed, rolledBack, canary, stubs)
-}
-
-// UpgradeStatsLine is the `upgrade:` line of the daemon's stats
-// report.
-func (s *Server) UpgradeStatsLine() string {
-	return upgradeLine(s.UpgradeStatus(),
-		s.stats.upgradesStarted.Load(),
-		s.stats.upgradesCommitted.Load(),
-		s.stats.upgradesRolledBack.Load(),
-		s.stats.canaryInstantiations.Load(),
-		s.stats.optionalStubsServed.Load())
+	return "upgrade: idle"
 }

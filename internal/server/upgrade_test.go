@@ -391,13 +391,13 @@ func TestUpgradeInterruptedBeforeCommitRollsBackAtBoot(t *testing.T) {
 	}
 }
 
-// TestUpgradeStatusLineAndAudit: the stats line tracks the epoch
+// TestUpgradeStatusLineAndAudit: the status line tracks the epoch
 // lifecycle and Explain attaches the upgrade history of the symbols'
 // definers.
 func TestUpgradeStatusLineAndAudit(t *testing.T) {
 	s := newTestServer(t)
 	defineUpgradeWorld(t, s)
-	if line := s.UpgradeStatsLine(); !strings.Contains(line, "upgrade: idle") {
+	if line := s.UpgradeStatusLine(); !strings.Contains(line, "upgrade: idle") {
 		t.Fatalf("idle line = %q", line)
 	}
 	if _, err := s.UpgradeStart(25); err != nil {
@@ -406,14 +406,14 @@ func TestUpgradeStatusLineAndAudit(t *testing.T) {
 	if err := s.UpgradeStage("/lib/up", upLibV2, true); err != nil {
 		t.Fatal(err)
 	}
-	line := s.UpgradeStatsLine()
+	line := s.UpgradeStatusLine()
 	if !strings.Contains(line, "canary=25%") || !strings.Contains(line, "libs=/lib/up") {
 		t.Fatalf("active line = %q", line)
 	}
 	if err := s.UpgradeRollback("drill"); err != nil {
 		t.Fatal(err)
 	}
-	if line := s.UpgradeStatsLine(); !strings.Contains(line, `last-aborted="drill"`) {
+	if line := s.UpgradeStatusLine(); !strings.Contains(line, `last-aborted="drill"`) {
 		t.Fatalf("post-rollback line = %q", line)
 	}
 	audit := s.UpgradeAudit()

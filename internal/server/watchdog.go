@@ -62,7 +62,7 @@ func (s *Server) runBuildWatched(key string, build func() (*Instance, error)) (*
 	case r := <-ch:
 		return r.inst, r.err
 	case <-timer.C:
-		s.stats.buildTimeouts.Add(1)
+		s.stats.BuildTimeouts.Add(1)
 		return nil, &BuildTimeoutError{Key: key, Timeout: s.buildTimeout}
 	}
 }

@@ -1,9 +1,9 @@
 package omos_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"omos"
@@ -87,57 +87,60 @@ func TestWarmRestartEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreEntryEndToEnd corrupts one persisted blob on disk;
-// the next boot must reject it (counting the reject) and transparently
-// rebuild instead of failing.
+// TestCorruptStoreEntryEndToEnd damages one persisted blob on disk —
+// a flipped payload byte, or the v3 header of an older codec layout,
+// which the codec no longer accepts.  The next boot must reject it
+// (counting the reject and quarantining the bytes for autopsy), and
+// the next instantiation rebuilds transparently, running as before.
 func TestCorruptStoreEntryEndToEnd(t *testing.T) {
-	dir := t.TempDir()
+	for name, damage := range map[string]func(b []byte){
+		"flipped-byte": func(b []byte) { b[len(b)/2] ^= 0xff },
+		"v3-header":    func(b []byte) { binary.LittleEndian.PutUint32(b[4:8], 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			sys1 := newStoreSys(t, dir)
+			want, err := sys1.Run("/bin/codegen", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	sys1 := newStoreSys(t, dir)
-	instantiateCodegen(t, sys1)
-	if _, err := sys1.Run("/bin/codegen", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys1.Close(); err != nil {
-		t.Fatal(err)
-	}
+			blobs, err := filepath.Glob(filepath.Join(dir, "*.img"))
+			if err != nil || len(blobs) == 0 {
+				t.Fatalf("no blobs persisted (err=%v)", err)
+			}
+			b, err := os.ReadFile(blobs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(b)
+			if err := os.WriteFile(blobs[0], b, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blobs []string
-	for _, de := range ents {
-		if strings.HasSuffix(de.Name(), ".img") {
-			blobs = append(blobs, filepath.Join(dir, de.Name()))
-		}
-	}
-	if len(blobs) == 0 {
-		t.Fatal("no blobs persisted")
-	}
-	b, err := os.ReadFile(blobs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xff
-	if err := os.WriteFile(blobs[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sys2 := newStoreSys(t, dir)
-	if sys2.Srv.Stats().StoreCorrupt == 0 {
-		t.Fatalf("corrupt blob not rejected: %+v", sys2.Srv.Stats())
-	}
-	instantiateCodegen(t, sys2)
-	res, err := sys2.Run("/bin/codegen", nil)
-	if err != nil {
-		t.Fatalf("instantiation after corruption failed: %v", err)
-	}
-	if sys2.Srv.Stats().ImagesBuilt == 0 {
-		t.Fatal("corrupt entry was not rebuilt")
-	}
-	_ = res
-	if err := sys2.Close(); err != nil {
-		t.Fatal(err)
+			sys2 := newStoreSys(t, dir)
+			if st := sys2.Srv.Stats(); st.StoreCorrupt == 0 || st.StoreQuarantined == 0 {
+				t.Fatalf("damaged blob not rejected: %+v", st)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", filepath.Base(blobs[0]))); err != nil {
+				t.Fatalf("damaged blob not in the quarantine directory: %v", err)
+			}
+			got, err := sys2.Run("/bin/codegen", nil)
+			if err != nil {
+				t.Fatalf("instantiation after the damage failed: %v", err)
+			}
+			if sys2.Srv.Stats().ImagesBuilt == 0 {
+				t.Fatal("damaged entry was not rebuilt")
+			}
+			if got.ExitCode != want.ExitCode || got.Output != want.Output {
+				t.Fatalf("rebuilt run diverged: exit %d vs %d", got.ExitCode, want.ExitCode)
+			}
+			if err := sys2.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
